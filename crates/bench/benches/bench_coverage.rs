@@ -16,7 +16,6 @@ use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
 use leasing_workloads::rainy_days;
 use parking_permit::det::DeterministicPrimalDual;
-use parking_permit::multi::MultiPermit;
 use rand::RngExt;
 use std::hint::black_box;
 
@@ -164,9 +163,8 @@ fn bench_batched_timesteps(c: &mut Criterion) {
             },
         );
     }
-    // The columnar fast path over the same workload shape: the whole
-    // stream goes through one `submit_columns` call — one validation pass,
-    // one expiry advancement per distinct time.
+    // The columnar adapter over the same workload shape: the whole stream
+    // goes through one `submit_columns` call, one `submit` per request.
     for width in [1usize, 16] {
         let times: Vec<u64> = (0..2_000u64)
             .flat_map(|t| std::iter::repeat_n(t, width))
@@ -191,7 +189,7 @@ fn bench_batched_timesteps(c: &mut Criterion) {
 }
 
 /// The streaming mega-scale tier: 10^7 requests through the columnar
-/// submit fast path, fed from a pre-generated rainy-day arrival buffer so
+/// submit adapter, fed from a pre-generated rainy-day arrival buffer so
 /// the generator stays off the hot path. The 10^3-request entry gives the
 /// per-request baseline the big run is compared against (ROADMAP success:
 /// per-request cost at 10^7 within ~1.1× of the small-run cost).
@@ -277,53 +275,12 @@ fn bench_driver_streaming_bounded(c: &mut Criterion) {
     group.finish();
 }
 
-/// The multi-core scaling curve for element-partitioned submission: one
-/// column-shaped batch of element-keyed requests through
-/// `submit_columns_partitioned` at 1/2/4/8 worker threads. The 1-thread
-/// entry is the serial `submit_columns` fall-back, so the curve reads as
-/// speedup over the exact byte-identical baseline (pinned in
-/// `tests/batch_equivalence.rs`).
-fn bench_driver_partitioned(c: &mut Criterion) {
-    let s = structure();
-    // Element-keyed stream: each arrival day fans out to 3 of 64 tenant
-    // elements, giving the per-element buckets real independent work.
-    let days = rainy_days(&mut seeded(9), 1_000_000, 0.35).expect("valid parameters");
-    let times: Vec<u64> = days.iter().flat_map(|&t| [t, t, t]).collect();
-    let elements: Vec<usize> = (0..times.len()).map(|i| (i * 11) % 64).collect();
-    let mut group = c.benchmark_group("driver_partitioned");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(times.len() as u64));
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut driver = Driver::new(MultiPermit::new(s.clone()), s.clone());
-                    driver.reserve_decisions(times.len());
-                    driver
-                        .submit_columns_partitioned(
-                            &times,
-                            &elements,
-                            elements.iter().copied(),
-                            threads,
-                        )
-                        .expect("monotone submission");
-                    black_box(driver.cost())
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_coverage_query,
     bench_driver_long_horizon,
     bench_batched_timesteps,
     bench_driver_streaming,
-    bench_driver_streaming_bounded,
-    bench_driver_partitioned
+    bench_driver_streaming_bounded
 );
 criterion_main!(benches);

@@ -11,8 +11,9 @@
 //! bench_gate --pattern driver/ --tolerance 0.10
 //! ```
 //!
-//! Exit codes follow the `simlab` convention: 0 clean, 2 unusable input,
-//! 3 regression beyond the tolerance.
+//! Exit codes follow the `simlab` convention: 0 clean, 2 unusable input
+//! (including a gate that compared nothing because every matched baseline
+//! id is absent from the candidate), 3 regression beyond the tolerance.
 
 use leasing_bench::gate::{diff, parse_entries, BenchEntry};
 
@@ -82,6 +83,16 @@ fn main() {
     }
     for id in &outcome.missing {
         eprintln!("warning: baseline benchmark {id} is absent from the candidate (not compared)");
+    }
+    if outcome.is_hollow() {
+        eprintln!(
+            "bench_gate: none of the {} `{}` benchmark(s) in {} was re-measured in {}",
+            outcome.missing.len(),
+            args.pattern,
+            args.baseline,
+            args.candidate
+        );
+        std::process::exit(2);
     }
     if outcome.regressions.is_empty() {
         println!(

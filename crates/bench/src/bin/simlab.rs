@@ -115,9 +115,9 @@ fn parse_args() -> Result<Args, String> {
             other if other.starts_with("--compact-every=") => {
                 args.compact_every = Some(parse_compact_every(&other["--compact-every=".len()..])?)
             }
-            "--retention" => args.retention = parse_retention(&value("--retention")?)?,
+            "--retention" => args.retention = value("--retention")?.parse()?,
             other if other.starts_with("--retention=") => {
-                args.retention = parse_retention(&other["--retention=".len()..])?
+                args.retention = other["--retention=".len()..].parse()?
             }
             "--baseline" => args.baseline = Some(value("--baseline")?),
             "--candidate" => args.candidate = Some(value("--candidate")?),
@@ -142,25 +142,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("--candidate requires --baseline".into());
     }
     Ok(args)
-}
-
-/// Parses the `--retention` grammar shared with the `leased` daemon:
-/// `full`, `bounded:N`, or `aggregate`. Retention never changes the
-/// matrix report — only each cell's retained decision trace.
-fn parse_retention(spec: &str) -> Result<DecisionRetention, String> {
-    match spec {
-        "full" => Ok(DecisionRetention::Full),
-        "aggregate" | "aggregate-only" => Ok(DecisionRetention::AggregateOnly),
-        other => match other.strip_prefix("bounded:") {
-            Some(n) => n
-                .parse()
-                .map(DecisionRetention::Bounded)
-                .map_err(|e| format!("--retention bounded:{n}: {e}")),
-            None => Err(format!(
-                "--retention {other:?}: expected full, bounded:N, or aggregate"
-            )),
-        },
-    }
 }
 
 fn parse_compact_every(text: &str) -> Result<u64, String> {

@@ -6,9 +6,9 @@
 //! The gate follows the same CI convention as `simlab --max-ratio` /
 //! `--baseline`: exit code 3 on any regression, 2 on unusable input.
 //! Baseline ids absent from the candidate are *warned about* but do not
-//! fail the gate (narrower candidate runs are legitimate; a regressing
-//! benchmark must not pass by being renamed, so the warning is printed for
-//! humans and CI logs).
+//! fail the gate (narrower candidate runs are legitimate), unless *every*
+//! matched id is absent: then the gate compared nothing — a renamed
+//! benchmark id would silently hollow it out — and it exits 2.
 
 use serde::{json, Value};
 
@@ -64,6 +64,15 @@ pub struct GateOutcome {
     pub missing: Vec<String>,
     /// Number of ids compared.
     pub compared: usize,
+}
+
+impl GateOutcome {
+    /// Whether the gate matched baseline ids but compared none of them —
+    /// every one is absent from the candidate, so nothing was gated (a
+    /// renamed benchmark id hollows out its gate this way).
+    pub fn is_hollow(&self) -> bool {
+        self.compared == 0 && !self.missing.is_empty()
+    }
 }
 
 /// Parses the `{"benchmarks": [{"id": ..., "mean_ns": ...}, ...]}` file
@@ -204,6 +213,26 @@ mod tests {
         assert_eq!(outcome.compared, 0);
         assert_eq!(outcome.missing, vec!["driver/submit_noop/1024".to_string()]);
         assert!(outcome.regressions.is_empty());
+    }
+
+    #[test]
+    fn a_gate_whose_every_baseline_id_is_missing_fails() {
+        let baseline = parse_entries(&file(&[("driver/submit_noop/1024", 100.0)])).unwrap();
+        let renamed = parse_entries(&file(&[("driver/submit_nop/1024", 100.0)])).unwrap();
+        let outcome = diff(&baseline, &renamed, "driver/submit_", 0.15);
+        assert!(outcome.regressions.is_empty());
+        assert!(outcome.is_hollow(), "nothing compared, one id missing");
+        let partial = diff(
+            &parse_entries(&file(&[
+                ("driver/submit_noop/1024", 100.0),
+                ("driver/submit_det_permit/1024", 100.0),
+            ]))
+            .unwrap(),
+            &baseline,
+            "driver/submit_",
+            0.15,
+        );
+        assert!(!partial.is_hollow(), "one id compared, one missing");
     }
 
     #[test]

@@ -1,131 +1,42 @@
 //! [`EngineHandle`]: an owned policy object bound to its own
 //! arena-backed [`Ledger`].
 //!
-//! The [`Driver`](super::Driver) is generic over the algorithm type —
-//! ideal for benchmarks and tests that want monomorphized dispatch, but
-//! every owner (the SimLab matrix runner, the `leased` daemon's tenant
-//! shards) had to be generic too, threading `&mut Ledger` through its
-//! whole call stack. `EngineHandle` erases the policy behind
-//! `Box<dyn LeasingAlgorithm>` so an owner holds *one* concrete type per
-//! request shape: submit requests, advance time, read [`EngineStats`],
-//! snapshot and restore — no generics, no ledger borrows.
+//! The [`Driver`] is generic over the algorithm type — ideal for
+//! benchmarks and tests that want monomorphized dispatch, but every owner
+//! (the SimLab matrix runner, the `leased` daemon's tenant shards) would
+//! have to be generic too. `EngineHandle` is a `Driver` over
+//! `Box<dyn LeasingAlgorithm>`, so an owner holds *one* concrete type per
+//! request shape. Every driver method (submit, advance, retention,
+//! reports) is reached through `Deref`; the handle adds only
+//! [`EngineStats`] and snapshot/restore.
 //!
 //! Snapshots ([`EngineHandle::snapshot`]) wrap the golden-tested ledger
 //! decision schema in an [`ENGINE_SNAPSHOT_SCHEMA`] envelope together
-//! with the handle's own counters, so a restored handle reproduces
+//! with the driver's own counters, so a restored handle reproduces
 //! byte-identical [`EngineStats`] and keeps enforcing monotone time where
 //! the original left off.
 
 use super::ledger::{check_schema, SnapshotError};
-use super::{
-    DecisionRetention, Driver, DriverError, ElementPartitioned, LeasingAlgorithm, Ledger, Report,
-};
+use super::{Driver, LeasingAlgorithm, Ledger};
 use crate::lease::LeaseStructure;
 use crate::time::TimeStep;
 use serde::{json, Deserialize, Serialize, Value};
+use std::ops::{Deref, DerefMut};
 
 /// Schema tag of [`EngineHandle::snapshot`] envelopes.
 pub const ENGINE_SNAPSHOT_SCHEMA: &str = "engine-snapshot/v1";
 
-/// Object-safe twin of [`ElementPartitioned`]: what a type-erased
-/// partitioned policy must do — serve a request, clone itself behind a
-/// box (for the per-partition workers) and absorb a boxed partition back
-/// (downcast to the concrete type behind the erasure).
-trait DynPartitioned<R>: Send {
-    fn serve(&mut self, time: TimeStep, request: R, books: super::Books<'_>);
-    fn clone_box(&self) -> Box<dyn DynPartitioned<R>>;
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
-    fn absorb_box(&mut self, partition: Box<dyn std::any::Any>, elements: &[usize]);
-}
-
-impl<A> DynPartitioned<A::Request> for A
-where
-    A: ElementPartitioned + 'static,
-{
-    fn serve(&mut self, time: TimeStep, request: A::Request, books: super::Books<'_>) {
-        self.on_request(time, request, books);
-    }
-
-    fn clone_box(&self) -> Box<dyn DynPartitioned<A::Request>> {
-        Box::new(self.clone())
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-
-    fn absorb_box(&mut self, partition: Box<dyn std::any::Any>, elements: &[usize]) {
-        // The partition is always a clone of `self` made by `clone_box`,
-        // so the downcast cannot fail; a foreign payload is ignored.
-        if let Ok(partition) = partition.downcast::<A>() {
-            self.absorb(*partition, elements);
-        }
-    }
-}
-
-/// The partitioned-capable erased policy: itself a [`LeasingAlgorithm`]
-/// and [`ElementPartitioned`], so the generic
-/// [`Driver::submit_columns_partitioned`] machinery runs unchanged behind
-/// the type erasure.
-struct PartitionedBox<R>(Box<dyn DynPartitioned<R>>);
-
-impl<R> Clone for PartitionedBox<R> {
-    fn clone(&self) -> Self {
-        PartitionedBox(self.0.clone_box())
-    }
-}
-
-impl<R> LeasingAlgorithm for PartitionedBox<R> {
-    type Request = R;
-
-    fn on_request(&mut self, time: TimeStep, request: R, books: super::Books<'_>) {
-        self.0.serve(time, request, books);
-    }
-}
-
-impl<R: Send> ElementPartitioned for PartitionedBox<R> {
-    fn absorb(&mut self, partition: Self, elements: &[usize]) {
-        self.0.absorb_box(partition.0.into_any(), elements);
-    }
-}
-
-/// The two erasures a handle can hold: the plain boxed policy, or the
-/// partitioned-capable one (owned, `'static`, [`ElementPartitioned`]).
-enum Inner<'p, R> {
-    Plain(Driver<Box<dyn LeasingAlgorithm<Request = R> + 'p>>),
-    Partitioned(Driver<PartitionedBox<R>>),
-}
-
-/// Runs `$body` with `$d` bound to whichever driver variant `$self`
-/// holds — the delegation boilerplate behind every handle method.
-macro_rules! on_driver {
-    ($self:expr, |$d:ident| $body:expr) => {
-        match &mut $self.inner {
-            Inner::Plain($d) => $body,
-            Inner::Partitioned($d) => $body,
-        }
-    };
-}
-
-macro_rules! on_driver_ref {
-    ($self:expr, |$d:ident| $body:expr) => {
-        match &$self.inner {
-            Inner::Plain($d) => $body,
-            Inner::Partitioned($d) => $body,
-        }
-    };
-}
+/// The type-erased driver an [`EngineHandle`] wraps.
+type BoxedDriver<'p, R> = Driver<Box<dyn LeasingAlgorithm<Request = R> + 'p>>;
 
 /// An owned engine: a boxed [`LeasingAlgorithm`] bound to its own
-/// [`Ledger`], exposing the full submit/advance/stats/snapshot surface
-/// without generics.
+/// [`Ledger`], exposing the full [`Driver`] surface (through `Deref`)
+/// plus stats and snapshot/restore, without generics.
 ///
 /// The lifetime `'p` bounds the policy (algorithms borrowing their
 /// problem instance work fine); owned policies use `EngineHandle<'static,
 /// R>`.
-pub struct EngineHandle<'p, R> {
-    inner: Inner<'p, R>,
-}
+pub struct EngineHandle<'p, R>(BoxedDriver<'p, R>);
 
 impl<'p, R> EngineHandle<'p, R> {
     /// A handle whose ledger prices and windows leases with `structure`.
@@ -133,176 +44,20 @@ impl<'p, R> EngineHandle<'p, R> {
         algorithm: impl LeasingAlgorithm<Request = R> + 'p,
         structure: LeaseStructure,
     ) -> Self {
-        EngineHandle {
-            inner: Inner::Plain(Driver::new(Box::new(algorithm), structure)),
-        }
+        EngineHandle(Driver::new(Box::new(algorithm), structure))
     }
 
     /// A handle with a structure-less ledger (for policies pricing every
     /// purchase explicitly via [`Ledger::buy_priced`]).
     pub fn detached(algorithm: impl LeasingAlgorithm<Request = R> + 'p) -> Self {
-        EngineHandle {
-            inner: Inner::Plain(Driver::detached(Box::new(algorithm))),
-        }
+        EngineHandle(Driver::detached(Box::new(algorithm)))
     }
 
     /// A handle over a caller-provided ledger — the arena-reuse path
     /// (recycled ledgers keep their allocations across runs, see
     /// [`Ledger::reset`]).
     pub fn with_ledger(algorithm: impl LeasingAlgorithm<Request = R> + 'p, ledger: Ledger) -> Self {
-        EngineHandle {
-            inner: Inner::Plain(Driver::with_ledger(Box::new(algorithm), ledger)),
-        }
-    }
-
-    /// A handle over an [`ElementPartitioned`] policy, keeping the
-    /// partitioned capability through the type erasure:
-    /// [`submit_columns_partitioned`](EngineHandle::submit_columns_partitioned)
-    /// on such a handle fans out across worker threads; on any other
-    /// handle it falls back to the serial path (same bytes either way).
-    pub fn new_partitioned(
-        algorithm: impl ElementPartitioned<Request = R> + 'static,
-        structure: LeaseStructure,
-    ) -> Self {
-        EngineHandle {
-            inner: Inner::Partitioned(Driver::new(PartitionedBox(Box::new(algorithm)), structure)),
-        }
-    }
-
-    /// Submits one request. See [`Driver::submit`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DriverError::TimeTravel`] when `time` precedes the
-    /// previous request's time; the request is not served.
-    pub fn submit(&mut self, time: TimeStep, request: R) -> Result<(), DriverError> {
-        on_driver!(self, |d| d.submit(time, request))
-    }
-
-    /// Submits a whole time-stamped request sequence. See
-    /// [`Driver::submit_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first [`DriverError`]; earlier requests
-    /// stay served.
-    pub fn submit_batch(
-        &mut self,
-        requests: impl IntoIterator<Item = (TimeStep, R)>,
-    ) -> Result<(), DriverError> {
-        on_driver!(self, |d| d.submit_batch(requests))
-    }
-
-    /// Submits every request of one time step with a single monotonicity
-    /// check and expiry advancement. See [`Driver::submit_at`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DriverError::TimeTravel`] (serving nothing) when `time`
-    /// precedes the previous request's time.
-    pub fn submit_at(
-        &mut self,
-        time: TimeStep,
-        requests: impl IntoIterator<Item = R>,
-    ) -> Result<usize, DriverError> {
-        on_driver!(self, |d| d.submit_at(time, requests))
-    }
-
-    /// Submits a column-shaped batch — the batched fast path: the times
-    /// column is validated once, each distinct time pays one clock/expiry
-    /// advancement, and the result is bit-identical to a loop of
-    /// [`submit`](EngineHandle::submit) calls. See
-    /// [`Driver::submit_columns`].
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first out-of-order time stamp and returns
-    /// [`DriverError::TimeTravel`]; earlier requests stay served.
-    pub fn submit_columns(
-        &mut self,
-        times: &[TimeStep],
-        requests: impl IntoIterator<Item = R>,
-    ) -> Result<usize, DriverError> {
-        on_driver!(self, |d| d.submit_columns(times, requests))
-    }
-
-    /// Submits a column-shaped batch in parallel across `threads` scoped
-    /// worker threads, partitioned by `elements[i] % threads` — available
-    /// on handles built with
-    /// [`new_partitioned`](EngineHandle::new_partitioned); every other
-    /// handle serves the batch serially. Both paths produce byte-identical
-    /// ledgers, stats and snapshots. See
-    /// [`Driver::submit_columns_partitioned`].
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first out-of-order time stamp and returns
-    /// [`DriverError::TimeTravel`]; earlier requests stay served.
-    pub fn submit_columns_partitioned(
-        &mut self,
-        times: &[TimeStep],
-        elements: &[usize],
-        requests: impl IntoIterator<Item = R>,
-        threads: usize,
-    ) -> Result<usize, DriverError>
-    where
-        R: Send,
-    {
-        match &mut self.inner {
-            Inner::Plain(d) => d.submit_columns(times, requests),
-            Inner::Partitioned(d) => {
-                d.submit_columns_partitioned(times, elements, requests, threads)
-            }
-        }
-    }
-
-    /// Advances the engine clock to `time` without serving a request,
-    /// expiring leases whose windows end at or before it. Returns how many
-    /// leases expired. See [`Driver::advance`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DriverError::TimeTravel`] when `time` precedes the
-    /// previous request's time.
-    pub fn advance(&mut self, time: TimeStep) -> Result<usize, DriverError> {
-        on_driver!(self, |d| d.advance(time))
-    }
-
-    /// Compacts the ledger's coverage index. See [`Ledger::compact`].
-    pub fn compact(&mut self, before_t: TimeStep) -> usize {
-        on_driver!(self, |d| d.compact(before_t))
-    }
-
-    /// Reserves decision-trace capacity for a stream whose arrival count
-    /// is known up front. See [`Ledger::reserve_decisions`].
-    pub fn reserve_decisions(&mut self, additional: usize) {
-        on_driver!(self, |d| d.reserve_decisions(additional));
-    }
-
-    /// Switches the ledger's decision-retention policy. See
-    /// [`Ledger::set_retention`].
-    pub fn set_retention(&mut self, retention: DecisionRetention) {
-        on_driver!(self, |d| d.set_retention(retention));
-    }
-
-    /// The ledger's active [`DecisionRetention`] policy.
-    pub fn retention(&self) -> DecisionRetention {
-        on_driver_ref!(self, |d| d.retention())
-    }
-
-    /// The ledger accumulated so far.
-    pub fn ledger(&self) -> &Ledger {
-        on_driver_ref!(self, |d| d.ledger())
-    }
-
-    /// Total cost recorded so far.
-    pub fn cost(&self) -> f64 {
-        on_driver_ref!(self, |d| d.cost())
-    }
-
-    /// Number of requests served.
-    pub fn requests(&self) -> usize {
-        on_driver_ref!(self, |d| d.requests())
+        EngineHandle(Driver::with_ledger(Box::new(algorithm), ledger))
     }
 
     /// A deterministic summary of the engine state. Two handles with the
@@ -325,29 +80,25 @@ impl<'p, R> EngineHandle<'p, R> {
         }
     }
 
-    /// Summarizes the run against a (lower bound on the) offline optimum.
-    pub fn report(&self, optimum_cost: f64) -> Report {
-        on_driver_ref!(self, |d| d.report(optimum_cost))
-    }
-
     /// Serializes the engine into a self-describing snapshot envelope,
-    /// schema-tagged [`ENGINE_SNAPSHOT_SCHEMA`]: the handle's submission
+    /// schema-tagged [`ENGINE_SNAPSHOT_SCHEMA`]: the driver's submission
     /// counters plus the ledger's golden-tested decision trace
     /// ([`Ledger::snapshot`] payload). Under a non-`Full`
-    /// [`DecisionRetention`] policy the ledger payload carries a versioned
-    /// `retention` field that round-trips the retained decision ring and
-    /// the cumulative aggregates losslessly (see [`Ledger::snapshot`]);
-    /// `Full`-mode snapshots keep the historical shape byte-for-byte.
+    /// [`DecisionRetention`](super::DecisionRetention) policy the ledger
+    /// payload carries a versioned `retention` field that round-trips the
+    /// retained decision ring and the cumulative aggregates losslessly
+    /// (see [`Ledger::snapshot`]); `Full`-mode snapshots keep the
+    /// historical shape byte-for-byte.
     pub fn snapshot(&self) -> String {
-        let envelope = on_driver_ref!(self, |d| Value::Map(vec![
+        let envelope = Value::Map(vec![
             (
                 "schema".to_string(),
                 Value::Str(ENGINE_SNAPSHOT_SCHEMA.to_string()),
             ),
-            ("requests".to_string(), d.requests.to_value()),
-            ("last_time".to_string(), d.last_time.to_value()),
-            ("ledger".to_string(), d.ledger.to_value()),
-        ]));
+            ("requests".to_string(), self.0.requests.to_value()),
+            ("last_time".to_string(), self.0.last_time.to_value()),
+            ("ledger".to_string(), self.0.ledger.to_value()),
+        ]);
         json::to_string(&envelope)
     }
 
@@ -371,66 +122,40 @@ impl<'p, R> EngineHandle<'p, R> {
         algorithm: impl LeasingAlgorithm<Request = R> + 'p,
         text: &str,
     ) -> Result<Self, SnapshotError> {
-        let (requests, last_time, ledger) = parse_snapshot(text)?;
-        let mut driver = Driver::with_ledger(
-            Box::new(algorithm) as Box<dyn LeasingAlgorithm<Request = R> + 'p>,
-            ledger,
-        );
-        driver.requests = requests;
-        driver.last_time = last_time;
-        Ok(EngineHandle {
-            inner: Inner::Plain(driver),
-        })
-    }
-
-    /// [`restore`](EngineHandle::restore) for an [`ElementPartitioned`]
-    /// policy, keeping the partitioned capability — the counterpart of
-    /// [`new_partitioned`](EngineHandle::new_partitioned).
-    ///
-    /// # Errors
-    ///
-    /// Exactly like [`restore`](EngineHandle::restore).
-    pub fn restore_partitioned(
-        algorithm: impl ElementPartitioned<Request = R> + 'static,
-        text: &str,
-    ) -> Result<Self, SnapshotError> {
-        let (requests, last_time, ledger) = parse_snapshot(text)?;
-        let mut driver = Driver::with_ledger(PartitionedBox(Box::new(algorithm)), ledger);
-        driver.requests = requests;
-        driver.last_time = last_time;
-        Ok(EngineHandle {
-            inner: Inner::Partitioned(driver),
-        })
+        let envelope = json::parse(text).map_err(SnapshotError::Malformed)?;
+        check_schema(&envelope, ENGINE_SNAPSHOT_SCHEMA)?;
+        let field = |name| serde::value_field(&envelope, name).map_err(SnapshotError::Malformed);
+        let requests: usize =
+            Deserialize::from_value(field("requests")?).map_err(SnapshotError::Malformed)?;
+        let last_time: Option<TimeStep> =
+            Deserialize::from_value(field("last_time")?).map_err(SnapshotError::Malformed)?;
+        let ledger: Ledger =
+            Deserialize::from_value(field("ledger")?).map_err(SnapshotError::Malformed)?;
+        let mut handle = EngineHandle::with_ledger(algorithm, ledger);
+        handle.0.requests = requests;
+        handle.0.last_time = last_time;
+        Ok(handle)
     }
 
     /// Releases the ledger (dropping the boxed policy) — the arena-recycle
     /// path for pooled workers.
     pub fn into_ledger(self) -> Ledger {
-        match self.inner {
-            Inner::Plain(d) => d.into_parts().1,
-            Inner::Partitioned(d) => d.into_parts().1,
-        }
+        self.0.into_parts().1
     }
 }
 
-/// Decodes an [`ENGINE_SNAPSHOT_SCHEMA`] envelope into its counters and
-/// ledger — shared by both restore paths.
-fn parse_snapshot(text: &str) -> Result<(usize, Option<TimeStep>, Ledger), SnapshotError> {
-    let envelope = json::parse(text).map_err(SnapshotError::Malformed)?;
-    check_schema(&envelope, ENGINE_SNAPSHOT_SCHEMA)?;
-    let requests: usize = Deserialize::from_value(
-        serde::value_field(&envelope, "requests").map_err(SnapshotError::Malformed)?,
-    )
-    .map_err(SnapshotError::Malformed)?;
-    let last_time: Option<TimeStep> = Deserialize::from_value(
-        serde::value_field(&envelope, "last_time").map_err(SnapshotError::Malformed)?,
-    )
-    .map_err(SnapshotError::Malformed)?;
-    let ledger: Ledger = Deserialize::from_value(
-        serde::value_field(&envelope, "ledger").map_err(SnapshotError::Malformed)?,
-    )
-    .map_err(SnapshotError::Malformed)?;
-    Ok((requests, last_time, ledger))
+impl<'p, R> Deref for EngineHandle<'p, R> {
+    type Target = BoxedDriver<'p, R>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<R> DerefMut for EngineHandle<'_, R> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl<R> std::fmt::Debug for EngineHandle<'_, R> {
@@ -474,7 +199,7 @@ impl EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Books;
+    use crate::engine::{Books, DriverError};
     use crate::framework::Triple;
     use crate::interval::aligned_start;
     use crate::lease::LeaseType;
@@ -555,6 +280,28 @@ mod tests {
         let mut restored = restored;
         assert!(restored.submit(5, ()).is_err());
         assert!(restored.submit(11, ()).is_ok());
+    }
+
+    #[test]
+    fn bounded_zero_snapshots_restore_as_aggregate_only() {
+        use crate::engine::DecisionRetention;
+        let mut handle = EngineHandle::new(ShortLease, structure());
+        handle.set_retention(DecisionRetention::AggregateOnly);
+        handle
+            .submit_batch([(0u64, ()), (2, ()), (9, ()), (11, ())])
+            .unwrap();
+        // The shape older writers produced for `Bounded(0)`.
+        let aggregate_mode = r#""retention":{"v":1,"mode":"aggregate-only"}"#;
+        let snap = handle.snapshot();
+        assert!(snap.contains(aggregate_mode), "{snap}");
+        let legacy = snap.replace(
+            aggregate_mode,
+            r#""retention":{"v":1,"mode":"bounded","limit":0}"#,
+        );
+        let restored = EngineHandle::restore(ShortLease, &legacy).unwrap();
+        assert_eq!(restored.retention(), DecisionRetention::AggregateOnly);
+        assert_eq!(restored.stats().to_json(), handle.stats().to_json());
+        assert_eq!(restored.snapshot(), snap);
     }
 
     #[test]

@@ -93,8 +93,32 @@ pub enum DecisionRetention {
     Bounded(usize),
     /// Keep no decisions at all: every decision folds into the cost
     /// aggregates (which happens at record time regardless) and is
-    /// dropped. Equivalent to `Bounded(0)` with the clearest intent.
+    /// dropped. [`Ledger::set_retention`] stores `Bounded(0)` as this
+    /// mode, and snapshots written with `Bounded(0)` restore as it.
     AggregateOnly,
+}
+
+/// Parses the `--retention` grammar shared by the `leased` daemon and the
+/// `simlab` CLI: `full`, `bounded:N`, or `aggregate` (alias
+/// `aggregate-only`).
+impl std::str::FromStr for DecisionRetention {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        match spec {
+            "full" => Ok(DecisionRetention::Full),
+            "aggregate" | "aggregate-only" => Ok(DecisionRetention::AggregateOnly),
+            other => match other.strip_prefix("bounded:") {
+                Some(n) => n
+                    .parse()
+                    .map(DecisionRetention::Bounded)
+                    .map_err(|e| format!("--retention bounded:{n}: {e}")),
+                None => Err(format!(
+                    "--retention {other:?}: expected full, bounded:N, or aggregate"
+                )),
+            },
+        }
+    }
 }
 
 /// The default spending category of [`Ledger::buy`]/[`Ledger::buy_priced`].
@@ -286,7 +310,7 @@ impl Ledger {
         self.decision_total += 1;
         match self.retention {
             DecisionRetention::Full => self.decisions.push(decision),
-            DecisionRetention::AggregateOnly | DecisionRetention::Bounded(0) => {}
+            DecisionRetention::AggregateOnly => {}
             DecisionRetention::Bounded(n) => {
                 self.decisions.push(decision);
                 // Amortized ring: let the buffer grow to 2n, then drop the
@@ -301,7 +325,7 @@ impl Ledger {
         }
     }
 
-    pub(super) fn record_lease(
+    fn record_lease(
         &mut self,
         t: TimeStep,
         triple: Triple,
@@ -348,7 +372,7 @@ impl Ledger {
         self.record_charge(t, element, cost, Cow::Borrowed(category));
     }
 
-    pub(super) fn record_charge(
+    fn record_charge(
         &mut self,
         t: TimeStep,
         element: usize,
@@ -442,13 +466,16 @@ impl Ledger {
     /// decisions, `AggregateOnly` drops the trace entirely, and loosening
     /// (back toward `Full`) keeps whatever is still retained — evicted
     /// decisions are gone for good. Aggregates, coverage and expiry state
-    /// are untouched in every direction.
+    /// are untouched in every direction. `Bounded(0)` is stored as
+    /// `AggregateOnly`, the one representation of an empty trace.
     pub fn set_retention(&mut self, retention: DecisionRetention) {
+        let retention = match retention {
+            DecisionRetention::Bounded(0) => DecisionRetention::AggregateOnly,
+            other => other,
+        };
         match retention {
             DecisionRetention::Full => {}
-            DecisionRetention::AggregateOnly | DecisionRetention::Bounded(0) => {
-                self.decisions.clear();
-            }
+            DecisionRetention::AggregateOnly => self.decisions.clear(),
             DecisionRetention::Bounded(n) => {
                 let excess = self.decisions.len().saturating_sub(n);
                 if excess > 0 {
@@ -457,27 +484,6 @@ impl Ledger {
             }
         }
         self.retention = retention;
-    }
-
-    /// A clone of every query-facing structure — coverage index, expiry
-    /// timeline, per-element statistics, cost accumulators — with an empty
-    /// decision trace forced to `Full` retention. This is the per-partition
-    /// scratch behind partitioned submission: workers serve against it so
-    /// coverage queries see all pre-batch history, and the trace it grows
-    /// holds exactly this batch's decisions (stable indices — `Full` never
-    /// evicts), ready to be replayed into the real ledger in arrival order.
-    pub(super) fn parallel_scratch(&self) -> Ledger {
-        let mut scratch = self.clone();
-        scratch.decisions = Vec::new();
-        scratch.decision_total = 0;
-        scratch.retention = DecisionRetention::Full;
-        scratch
-    }
-
-    /// Releases the retained decision trace — the partitioned-submission
-    /// merge consumes a scratch ledger's trace without cloning it.
-    pub(super) fn take_decisions(&mut self) -> Vec<Decision> {
-        std::mem::take(&mut self.decisions)
     }
 
     /// Reserves capacity for at least `additional` more decisions.
@@ -820,7 +826,11 @@ fn retention_from_value(value: &Value) -> Result<DecisionRetention, de::Error> {
         "full" => Ok(DecisionRetention::Full),
         "bounded" => {
             let limit: usize = Deserialize::from_value(serde::value_field(value, "limit")?)?;
-            Ok(DecisionRetention::Bounded(limit))
+            // Older writers kept `Bounded(0)` distinct from aggregate-only.
+            Ok(match limit {
+                0 => DecisionRetention::AggregateOnly,
+                n => DecisionRetention::Bounded(n),
+            })
         }
         "aggregate-only" => Ok(DecisionRetention::AggregateOnly),
         other => Err(de::Error::new(format!("unknown retention mode {other:?}"))),

@@ -76,29 +76,12 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--trace-cap: {e}"))?
             }
-            "--retention" => args.retention = parse_retention(&value("--retention")?)?,
+            "--retention" => args.retention = value("--retention")?.parse()?,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
     Ok(args)
-}
-
-/// Parses `full`, `bounded:N`, or `aggregate` into a retention policy.
-fn parse_retention(spec: &str) -> Result<DecisionRetention, String> {
-    match spec {
-        "full" => Ok(DecisionRetention::Full),
-        "aggregate" | "aggregate-only" => Ok(DecisionRetention::AggregateOnly),
-        other => match other.strip_prefix("bounded:") {
-            Some(n) => n
-                .parse()
-                .map(DecisionRetention::Bounded)
-                .map_err(|e| format!("--retention bounded:{n}: {e}")),
-            None => Err(format!(
-                "--retention {other:?}: expected full, bounded:N, or aggregate"
-            )),
-        },
-    }
 }
 
 fn parse_structure(spec: &str) -> Result<LeaseStructure, String> {

@@ -8,7 +8,7 @@
 //! Theorem 2.7.
 
 use crate::{PermitOnline, PurchaseLog, PERMIT_ELEMENT};
-use leasing_core::engine::{Books, ElementPartitioned, LeasingAlgorithm, Ledger};
+use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
 use leasing_core::framework::{OnlineAlgorithm, Triple};
 use leasing_core::interval::aligned_start;
 use leasing_core::lease::{Lease, LeaseStructure};
@@ -132,15 +132,6 @@ impl LeasingAlgorithm for DeterministicPrimalDual {
 
     fn on_request(&mut self, time: TimeStep, _request: (), mut books: Books<'_>) {
         self.serve_with(time, &mut books);
-    }
-}
-
-/// The policy serves the single [`PERMIT_ELEMENT`], so a partitioned
-/// batch puts every request in one partition: absorbing replaces the
-/// whole state with the clone that did the serving.
-impl ElementPartitioned for DeterministicPrimalDual {
-    fn absorb(&mut self, partition: Self, _elements: &[usize]) {
-        *self = partition;
     }
 }
 

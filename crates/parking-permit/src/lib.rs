@@ -47,7 +47,6 @@
 pub mod adversary;
 pub mod det;
 pub mod ilp;
-pub mod multi;
 pub mod offline;
 pub mod rand_alg;
 

@@ -272,81 +272,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The element-partitioned parallel path is byte-identical to serial
-    /// `submit_columns` — same ledger JSON, stats and snapshot — across
-    /// thread counts (including > 4, the acceptance bar), element skews
-    /// and equal-time duplicate runs.
-    #[test]
-    fn partitioned_columns_are_bit_identical_to_serial(
-        seed in 0u64..200,
-        density in 0.2f64..0.9,
-        stride in 1usize..11,
-    ) {
-        use online_resource_leasing::parking_permit::multi::MultiPermit;
-        let times = days_with_duplicates(seed, 96, density);
-        let elements: Vec<usize> = (0..times.len()).map(|i| (i * stride) % 13).collect();
-
-        let mut serial = EngineHandle::new(MultiPermit::new(structure()), structure());
-        serial
-            .submit_columns(&times, elements.iter().copied())
-            .expect("monotone request sequence");
-        let ledger = serial.ledger().to_json();
-        let stats = serial.stats().to_json();
-        let snapshot = serial.snapshot();
-
-        for threads in [2usize, 4, 8] {
-            let mut parallel =
-                EngineHandle::new_partitioned(MultiPermit::new(structure()), structure());
-            parallel
-                .submit_columns_partitioned(&times, &elements, elements.iter().copied(), threads)
-                .expect("monotone request sequence");
-            prop_assert_eq!(
-                parallel.ledger().to_json(),
-                ledger.clone(),
-                "ledger @ {} threads",
-                threads
-            );
-            prop_assert_eq!(parallel.stats().to_json(), stats.clone(), "stats @ {} threads", threads);
-            prop_assert_eq!(parallel.snapshot(), snapshot.clone(), "snapshot @ {} threads", threads);
-        }
-    }
-
-    /// The partitioned path stays byte-identical under bounded retention:
-    /// worker scratch ledgers always trace fully, so the merge order (and
-    /// hence the surviving ring window) matches the serial path exactly.
-    #[test]
-    fn partitioned_columns_respect_bounded_retention(
-        seed in 0u64..100,
-        bound in 1usize..9,
-    ) {
-        use online_resource_leasing::core::engine::DecisionRetention;
-        use online_resource_leasing::parking_permit::multi::MultiPermit;
-        let times = days_with_duplicates(seed, 64, 0.5);
-        let elements: Vec<usize> = (0..times.len()).map(|i| (i * 3) % 7).collect();
-
-        let mut serial = EngineHandle::new(MultiPermit::new(structure()), structure());
-        serial.set_retention(DecisionRetention::Bounded(bound));
-        serial
-            .submit_columns(&times, elements.iter().copied())
-            .expect("monotone request sequence");
-
-        let mut parallel =
-            EngineHandle::new_partitioned(MultiPermit::new(structure()), structure());
-        parallel.set_retention(DecisionRetention::Bounded(bound));
-        parallel
-            .submit_columns_partitioned(&times, &elements, elements.iter().copied(), 4)
-            .expect("monotone request sequence");
-
-        prop_assert!(parallel.ledger().retained_decisions() <= bound);
-        prop_assert_eq!(parallel.ledger().to_json(), serial.ledger().to_json());
-        prop_assert_eq!(parallel.stats().to_json(), serial.stats().to_json());
-        prop_assert_eq!(parallel.snapshot(), serial.snapshot());
-    }
-}
-
 /// Expiry boundaries are where a batched path could double-process or skip
 /// an expiry sweep: demands landing exactly at window ends (multiples of
 /// the 4- and 16-step lease lengths), with equal-time duplicates at the
