@@ -2,6 +2,7 @@
 //! randomized SCLD algorithm.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use leasing_core::engine::Driver;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_deadlines::old::{OldInstance, OldPrimalDual};
@@ -23,8 +24,9 @@ fn bench_old(c: &mut Criterion) {
         let inst = OldInstance::new(structure(), clients).unwrap();
         group.bench_with_input(BenchmarkId::new("serve_all", horizon), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = OldPrimalDual::new(inst);
-                black_box(alg.run())
+                let mut driver = Driver::new(OldPrimalDual::new(inst), inst.structure.clone());
+                driver.submit_batch(inst.online_requests()).unwrap();
+                black_box(driver.cost())
             })
         });
     }
@@ -49,8 +51,9 @@ fn bench_windows(c: &mut Criterion) {
         let inst = WindowInstance::new(structure(), clients).unwrap();
         group.bench_with_input(BenchmarkId::new("serve_all", horizon), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = WindowPrimalDual::new(inst);
-                black_box(alg.run())
+                let mut driver = Driver::new(WindowPrimalDual::new(inst), inst.structure.clone());
+                driver.submit_batch(inst.online_requests()).unwrap();
+                black_box(driver.cost())
             })
         });
     }
@@ -75,8 +78,9 @@ fn bench_scld(c: &mut Criterion) {
         let inst = ScldInstance::uniform(system, structure(), arrivals).unwrap();
         group.bench_with_input(BenchmarkId::new("randomized", n), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = ScldOnline::new(inst, 2);
-                black_box(alg.run())
+                let mut driver = Driver::new(ScldOnline::new(inst, 2), inst.structure.clone());
+                driver.submit_batch(inst.online_requests()).unwrap();
+                black_box(driver.cost())
             })
         });
     }

@@ -2,6 +2,7 @@
 //! the network and request stream grow.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use leasing_core::engine::Driver;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
 use leasing_graph::generators::connected_erdos_renyi;
@@ -37,8 +38,10 @@ fn bench_steiner_online(c: &mut Criterion) {
             &inst,
             |b, inst| {
                 b.iter(|| {
-                    let mut alg = SteinerLeasingOnline::new(inst);
-                    black_box(alg.run())
+                    let mut driver =
+                        Driver::new(SteinerLeasingOnline::new(inst), inst.structure.clone());
+                    driver.submit_batch(inst.online_requests()).unwrap();
+                    black_box(driver.cost())
                 });
             },
         );

@@ -14,7 +14,9 @@
 //! `drive` pushes `--leases` submit operations across `--tenants` tenants
 //! through `--connections` parallel client connections and writes a
 //! bench-gate compatible `{"benchmarks": [...]}` report carrying
-//! `mean_ns`, `throughput_rps` and `p99_ns`. The traffic is
+//! `mean_ns`, `throughput_rps` and `p99_ns`. With `--out FILE` the entry
+//! for `--id` is merged into `FILE`: entries for other ids are kept, so
+//! regenerating one family never drops another. The traffic is
 //! deterministic: request `i` is tenant `i % tenants` at time
 //! `i / tenants`, and each connection owns the tenants congruent to its
 //! index, so per-tenant order is preserved no matter the connection
@@ -305,11 +307,34 @@ fn scrape_submit_demands(addr: &str) -> Result<u64, String> {
     Ok(metric_sum(&text, "leased_submit_demands_total"))
 }
 
-fn report_json(id: &str, report: &DriveReport) -> String {
+/// One baseline entry line for `report` under `id`.
+fn report_line(id: &str, report: &DriveReport) -> String {
     format!(
-        "{{\n  \"benchmarks\": [\n    {{\"id\": \"{id}\", \"mean_ns\": {:.2}, \"iterations\": {}, \
-         \"throughput_rps\": {:.1}, \"p99_ns\": {}}}\n  ]\n}}\n",
+        "{{\"id\": \"{id}\", \"mean_ns\": {:.2}, \"iterations\": {}, \
+         \"throughput_rps\": {:.1}, \"p99_ns\": {}}}",
         report.mean_ns, report.iterations, report.throughput_rps, report.p99_ns
+    )
+}
+
+/// The baseline file holding `line` (the fresh entry for `id`) after the
+/// entries of `existing` that this run did not re-measure — the same
+/// line-oriented merge the criterion shim's `finalize` performs, so a
+/// partial regeneration never drops another gated family.
+fn merged_report(existing: Option<&str>, id: &str, line: &str) -> String {
+    let mut lines: Vec<&str> = existing
+        .into_iter()
+        .flat_map(str::lines)
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| {
+            l.strip_prefix("{\"id\": \"")
+                .and_then(|rest| rest.split('"').next())
+                .is_some_and(|kept| kept != id)
+        })
+        .collect();
+    lines.push(line);
+    format!(
+        "{{\n  \"benchmarks\": [\n    {}\n  ]\n}}\n",
+        lines.join(",\n    ")
     )
 }
 
@@ -338,7 +363,7 @@ fn run(args: &Args) -> Result<(), String> {
                     "loadgen: metrics cross-check ok ({served} demands, client and daemon agree)"
                 );
             }
-            let text = report_json(&args.id, &report);
+            let line = report_line(&args.id, &report);
             println!(
                 "loadgen: {} leases in {} frames, mean {:.0} ns/frame, p99 {} ns, {:.0} rps",
                 args.leases,
@@ -348,9 +373,11 @@ fn run(args: &Args) -> Result<(), String> {
                 report.throughput_rps
             );
             if let Some(out) = &args.out {
-                std::fs::write(out, &text).map_err(|e| format!("writing {out}: {e}"))?;
+                let existing = std::fs::read_to_string(out).ok();
+                let text = merged_report(existing.as_deref(), &args.id, &line);
+                std::fs::write(out, text).map_err(|e| format!("writing {out}: {e}"))?;
             } else {
-                print!("{text}");
+                print!("{}", merged_report(None, &args.id, &line));
             }
             Ok(())
         }
@@ -414,7 +441,29 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::metric_sum;
+    use super::{merged_report, metric_sum};
+
+    #[test]
+    fn out_file_merge_keeps_entries_this_run_did_not_measure() {
+        let existing = "{\n  \"benchmarks\": [\n    \
+            {\"id\": \"driver/submit_det_permit/1024\", \"mean_ns\": 45.00, \"iterations\": 9},\n    \
+            {\"id\": \"leased/loadgen/submit\", \"mean_ns\": 1.00, \"iterations\": 1},\n    \
+            {\"id\": \"leased/loadgen/pipelined\", \"mean_ns\": 2.00, \"iterations\": 2}\n  ]\n}\n";
+        let fresh = "{\"id\": \"leased/loadgen/submit\", \"mean_ns\": 7.00, \"iterations\": 3}";
+        let merged = merged_report(Some(existing), "leased/loadgen/submit", fresh);
+        assert_eq!(
+            merged,
+            "{\n  \"benchmarks\": [\n    \
+             {\"id\": \"driver/submit_det_permit/1024\", \"mean_ns\": 45.00, \"iterations\": 9},\n    \
+             {\"id\": \"leased/loadgen/pipelined\", \"mean_ns\": 2.00, \"iterations\": 2},\n    \
+             {\"id\": \"leased/loadgen/submit\", \"mean_ns\": 7.00, \"iterations\": 3}\n  ]\n}\n"
+        );
+        // Without an existing file the report holds just the fresh entry.
+        assert_eq!(
+            merged_report(None, "leased/loadgen/submit", fresh),
+            format!("{{\n  \"benchmarks\": [\n    {fresh}\n  ]\n}}\n")
+        );
+    }
 
     #[test]
     fn metric_sum_adds_labelled_and_bare_samples() {

@@ -13,11 +13,22 @@ use capacitated_facility::scheduling::{to_capacitated, JobBatch, Machine};
 use facility_leasing::instance::FacilityInstance;
 use facility_leasing::metric::Point;
 use leasing_bench::table;
+use leasing_core::engine::Driver;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
 use rand::RngExt;
 
 const SEED: u64 = 18001;
+
+/// The online greedy's cost on `inst` under `choice`.
+fn greedy_cost(inst: &CapacitatedInstance, choice: LeaseChoice) -> f64 {
+    let greedy = CapacitatedGreedy::new(inst, choice);
+    let mut driver = Driver::new(greedy, inst.base.structure().clone());
+    driver
+        .submit_batch(inst.base.online_requests())
+        .expect("batches arrive in time order");
+    driver.cost()
+}
 
 fn random_base(
     rng: &mut impl rand::Rng,
@@ -53,7 +64,7 @@ fn main() {
             continue;
         };
         let opt = offline::optimal_cost(&inst, 500_000).unwrap_or(f64::NAN);
-        let greedy = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal).run();
+        let greedy = greedy_cost(&inst, LeaseChoice::CheapestTotal);
         table::row(
             &[
                 table::i(cap),
@@ -82,8 +93,8 @@ fn main() {
             let base =
                 FacilityInstance::euclidean(sites, structure.clone(), point_batches).unwrap();
             let inst = CapacitatedInstance::uniform(base, 1).unwrap();
-            cheap_sum += CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal).run();
-            rate_sum += CapacitatedGreedy::new(&inst, LeaseChoice::BestRate).run();
+            cheap_sum += greedy_cost(&inst, LeaseChoice::CheapestTotal);
+            rate_sum += greedy_cost(&inst, LeaseChoice::BestRate);
         }
         let winner = if rate_sum < cheap_sum {
             "best-rate"
@@ -126,7 +137,7 @@ fn main() {
     }
     let inst = to_capacitated(&machines, structure.clone(), &jobs).unwrap();
     let opt = offline::optimal_cost(&inst, 500_000).unwrap_or(f64::NAN);
-    let greedy = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal).run();
+    let greedy = greedy_cost(&inst, LeaseChoice::CheapestTotal);
     table::header(&["jobs", "opt", "greedy", "ratio"], 10);
     table::row(
         &[

@@ -98,9 +98,11 @@ fn main() {
             let system = random_system(&mut rng, 24, 12, 4);
             let arr = zipf_arrivals(&mut rng, &system, 24, 64, 1.1, 2);
             let inst = SmclInstance::uniform(system, lease_structure(2), arr).expect("feasible");
-            let mut spec = SmclOnline::new(&inst, seed);
+            let mut spec = Driver::new(SmclOnline::new(&inst, seed), inst.structure.clone());
+            spec.submit_batch(inst.online_requests())
+                .expect("arrivals are time-ordered");
             let mut gen = GenericSmcl::new(&inst, seed);
-            let (a, b) = (spec.run(), gen.run());
+            let (a, b) = (spec.cost(), gen.run());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;
@@ -134,9 +136,11 @@ fn main() {
             }
             let inst =
                 ScldInstance::uniform(system, lease_structure(2), arrivals).expect("feasible");
-            let mut spec = ScldOnline::new(&inst, seed);
+            let mut spec = Driver::new(ScldOnline::new(&inst, seed), inst.structure.clone());
+            spec.submit_batch(inst.online_requests())
+                .expect("arrivals are time-ordered");
             let mut gen = GenericScld::new(&inst, seed);
-            let (a, b) = (spec.run(), gen.run());
+            let (a, b) = (spec.cost(), gen.run());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;
@@ -198,9 +202,11 @@ fn main() {
                 })
                 .collect();
             let inst = OldInstance::new(s.clone(), clients).expect("sorted clients");
-            let mut spec = OldPrimalDual::new(&inst);
+            let mut spec = Driver::new(OldPrimalDual::new(&inst), inst.structure.clone());
+            spec.submit_batch(inst.online_requests())
+                .expect("clients arrive in time order");
             let mut gen = GenericOld::new(&inst);
-            let (a, b) = (spec.run(), gen.run());
+            let (a, b) = (spec.cost(), gen.run());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;

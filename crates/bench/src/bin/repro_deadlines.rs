@@ -8,6 +8,7 @@
 //!   the mirror purchase is what makes intersecting clients free.
 
 use leasing_bench::table;
+use leasing_core::engine::Driver;
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -19,6 +20,15 @@ use leasing_workloads::arrivals::{old_clients, uniform_old_clients};
 use leasing_workloads::set_systems::random_system;
 
 const SEED: u64 = 55001;
+
+/// The §5.3 primal-dual algorithm's cost on `inst`.
+fn old_cost(inst: &OldInstance) -> f64 {
+    let mut driver = Driver::new(OldPrimalDual::new(inst), inst.structure.clone());
+    driver
+        .submit_batch(inst.online_requests())
+        .expect("clients arrive in time order");
+    driver.cost()
+}
 
 fn structure(k: usize) -> LeaseStructure {
     let types: Vec<LeaseType> = (0..k)
@@ -45,8 +55,7 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = OldPrimalDual::new(&inst);
-            stats.push(alg.run() / opt);
+            stats.push(old_cost(&inst) / opt);
         }
         table::row(
             &[
@@ -79,8 +88,7 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = OldPrimalDual::new(&inst);
-            stats.push(alg.run() / opt);
+            stats.push(old_cost(&inst) / opt);
         }
         let ratio_ref = 2.0 + d_max as f64 / s.l_min() as f64;
         table::row(
@@ -100,8 +108,7 @@ fn main() {
     for d_max in [8u64, 16, 32, 64, 128] {
         let l_min = 2;
         let inst = tight_example(d_max, l_min, 0.01);
-        let mut alg = OldPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = old_cost(&inst);
         let opt = tight_example_optimum(0.01);
         table::row(
             &[
@@ -147,8 +154,10 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = ScldOnline::new(&inst, SEED + t);
-            stats.push(alg.run() / opt);
+            let mut alg = Driver::new(ScldOnline::new(&inst, SEED + t), s.clone());
+            alg.submit_batch(inst.online_requests())
+                .expect("arrivals are time-ordered");
+            stats.push(alg.cost() / opt);
         }
         let l_max = s.l_max();
         let reference = ((15.0 * (k as f64 + d_max as f64 / s.l_min() as f64)) + 1.0).log2()

@@ -11,6 +11,7 @@ use facility_leasing::offline;
 use facility_leasing::online::PrimalDualFacility;
 use facility_leasing::series::{h_series, harmonic, ArrivalPattern};
 use leasing_bench::table;
+use leasing_core::engine::Driver;
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -80,8 +81,10 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = PrimalDualFacility::new(&inst);
-            pd_stats.push(alg.run() / opt);
+            let mut pd = Driver::new(PrimalDualFacility::new(&inst), inst.structure().clone());
+            pd.submit_batch(inst.online_requests())
+                .expect("batches arrive in time order");
+            pd_stats.push(pd.cost() / opt);
             let mut greedy = GreedyLease::new(&inst);
             greedy_stats.push(greedy.run() / opt);
         }
@@ -122,8 +125,10 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = PrimalDualFacility::new(&inst);
-            pd_stats.push(alg.run() / opt);
+            let mut pd = Driver::new(PrimalDualFacility::new(&inst), inst.structure().clone());
+            pd.submit_batch(inst.online_requests())
+                .expect("batches arrive in time order");
+            pd_stats.push(pd.cost() / opt);
         }
         table::row(
             &[

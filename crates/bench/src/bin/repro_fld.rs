@@ -22,9 +22,11 @@
 //! base instance.
 
 use facility_leasing::fld::{self, FldInstance};
+use facility_leasing::instance::FacilityInstance;
 use facility_leasing::online::PrimalDualFacility;
 use facility_leasing::series::ArrivalPattern;
 use leasing_bench::table;
+use leasing_core::engine::Driver;
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -33,6 +35,15 @@ use rand::RngExt;
 
 const SEED: u64 = 67001;
 const TRIALS: u64 = 5;
+
+/// The §4.3 algorithm's cost on `inst`, driven batch by batch.
+fn online_cost(inst: &FacilityInstance) -> f64 {
+    let mut driver = Driver::new(PrimalDualFacility::new(inst), inst.structure().clone());
+    driver
+        .submit_batch(inst.online_requests())
+        .expect("batches arrive in time order");
+    driver.cost()
+}
 
 fn structure() -> LeaseStructure {
     LeaseStructure::new(vec![LeaseType::new(2, 2.0), LeaseType::new(16, 6.0)])
@@ -95,11 +106,11 @@ fn main() {
                 continue;
             }
             opt_rel.push(opt / rigid_opts[t]);
-            arrive_stats.push(PrimalDualFacility::new(inst.base()).run() / opt);
+            arrive_stats.push(online_cost(inst.base()) / opt);
             let by_deadline = inst.defer_to_deadline().expect("valid regrouping");
-            deadline_stats.push(PrimalDualFacility::new(&by_deadline).run() / opt);
+            deadline_stats.push(online_cost(&by_deadline) / opt);
             let by_aligned = inst.defer_to_aligned().expect("valid regrouping");
-            aligned_stats.push(PrimalDualFacility::new(&by_aligned).run() / opt);
+            aligned_stats.push(online_cost(&by_aligned) / opt);
         }
         table::row(
             &[
@@ -136,11 +147,11 @@ fn main() {
         let opt = fld::optimal_cost(&inst, 200_000)
             .or_else(|_| fld::lp_lower_bound(&inst))
             .expect("covering relaxation is solvable");
-        let arrive = PrimalDualFacility::new(inst.base()).run() / opt;
+        let arrive = online_cost(inst.base()) / opt;
         let by_deadline = inst.defer_to_deadline().expect("valid regrouping");
-        let deadline = PrimalDualFacility::new(&by_deadline).run() / opt;
+        let deadline = online_cost(&by_deadline) / opt;
         let by_aligned = inst.defer_to_aligned().expect("valid regrouping");
-        let aligned = PrimalDualFacility::new(&by_aligned).run() / opt;
+        let aligned = online_cost(&by_aligned) / opt;
         table::row(
             &[
                 table::i(span),

@@ -8,16 +8,27 @@ use graph_cover_leasing::reduction::{
 };
 use graph_cover_leasing::vertex_cover::{VcLeasingInstance, VcPrimalDual};
 use leasing_bench::table;
+use leasing_core::engine::Driver;
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
 use leasing_core::time::TimeStep;
 use leasing_graph::generators::connected_erdos_renyi;
 use leasing_workloads::item_arrivals;
+use set_cover_leasing::instance::SmclInstance;
 use set_cover_leasing::offline;
 use set_cover_leasing::online::SmclOnline;
 
 const SEED: u64 = 17001;
+
+/// The Chapter 3 randomized algorithm's cost on a reduced instance.
+fn smcl_cost(inst: &SmclInstance, seed: u64) -> f64 {
+    let mut driver = Driver::new(SmclOnline::new(inst, seed), inst.structure.clone());
+    driver
+        .submit_batch(inst.online_requests())
+        .expect("arrivals are time-ordered");
+    driver.cost()
+}
 
 fn main() {
     println!("== E17a: vertex cover leasing — direct 2K primal-dual vs reduction ==");
@@ -36,9 +47,13 @@ fn main() {
                 continue;
             };
             let vc = VcLeasingInstance::unweighted(g, structure.clone(), arrivals).unwrap();
-            let direct = VcPrimalDual::new(&vc).run();
+            let mut direct = Driver::new(VcPrimalDual::new(&vc), structure.clone());
+            direct
+                .submit_batch(vc.arrivals.iter().copied())
+                .expect("edges arrive in time order");
+            let direct = direct.cost();
             direct_stats.push(direct / opt);
-            let randomized = SmclOnline::new(&reduced, SEED ^ trial).run();
+            let randomized = smcl_cost(&reduced, SEED ^ trial);
             rand_stats.push(randomized / opt);
         }
         table::row(
@@ -62,7 +77,7 @@ fn main() {
     let v_arrivals = item_arrivals(&mut rng, g.num_nodes(), 6, 3);
     let ec = edge_cover_instance(&g, structure.clone(), &v_arrivals, true).unwrap();
     let ec_opt = offline::optimal_cost(&ec, 400_000).unwrap_or(f64::NAN);
-    let ec_online = SmclOnline::new(&ec, SEED).run();
+    let ec_online = smcl_cost(&ec, SEED);
     table::row(
         &[
             "edge-cover".into(),
@@ -80,7 +95,7 @@ fn main() {
         .collect();
     let ds = dominating_set_instance(&g, structure.clone(), &ds_arrivals).unwrap();
     let ds_opt = offline::optimal_cost(&ds, 400_000).unwrap_or(f64::NAN);
-    let ds_online = SmclOnline::new(&ds, SEED + 1).run();
+    let ds_online = smcl_cost(&ds, SEED + 1);
     table::row(
         &[
             "dom-set".into(),

@@ -17,11 +17,13 @@
 //!    rises: both bounds are linear in `K`.
 
 use facility_leasing::baselines::GreedyLease;
+use facility_leasing::instance::FacilityInstance;
 use facility_leasing::nagarajan_williamson::NagarajanWilliamson;
 use facility_leasing::offline;
 use facility_leasing::online::PrimalDualFacility;
 use facility_leasing::series::{h_lmax_rounds, h_series, ArrivalPattern};
 use leasing_bench::table;
+use leasing_core::engine::{Driver, LeasingAlgorithm};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -29,6 +31,15 @@ use leasing_workloads::facilities::facility_instance;
 
 const SEED: u64 = 47001;
 const TRIALS: u64 = 4;
+
+/// The cost of a facility algorithm driven batch by batch over `inst`.
+fn online_cost<A: LeasingAlgorithm<Request = Vec<usize>>>(alg: A, inst: &FacilityInstance) -> f64 {
+    let mut driver = Driver::new(alg, inst.structure().clone());
+    driver
+        .submit_batch(inst.online_requests())
+        .expect("batches arrive in time order");
+    driver.cost()
+}
 
 fn structure_with_k(k: usize) -> LeaseStructure {
     let types: Vec<LeaseType> = (1..=k)
@@ -83,8 +94,8 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            thesis.push(PrimalDualFacility::new(&inst).run() / opt);
-            nw.push(NagarajanWilliamson::new(&inst).run() / opt);
+            thesis.push(online_cost(PrimalDualFacility::new(&inst), &inst) / opt);
+            nw.push(online_cost(NagarajanWilliamson::new(&inst), &inst) / opt);
             greedy.push(GreedyLease::new(&inst).run() / opt);
         }
         table::row(
@@ -125,8 +136,8 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            thesis.push(PrimalDualFacility::new(&inst).run() / opt);
-            nw.push(NagarajanWilliamson::new(&inst).run() / opt);
+            thesis.push(online_cost(PrimalDualFacility::new(&inst), &inst) / opt);
+            nw.push(online_cost(NagarajanWilliamson::new(&inst), &inst) / opt);
             greedy.push(GreedyLease::new(&inst).run() / opt);
         }
         table::row(
@@ -166,8 +177,8 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            thesis.push(PrimalDualFacility::new(&inst).run() / opt);
-            nw.push(NagarajanWilliamson::new(&inst).run() / opt);
+            thesis.push(online_cost(PrimalDualFacility::new(&inst), &inst) / opt);
+            nw.push(online_cost(NagarajanWilliamson::new(&inst), &inst) / opt);
         }
         table::row(
             &[

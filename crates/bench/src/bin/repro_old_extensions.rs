@@ -7,6 +7,7 @@
 //!   tightens.
 
 use leasing_bench::table;
+use leasing_core::engine::Driver;
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
@@ -50,7 +51,11 @@ fn main() {
             let Some(opt) = multi_day::optimal_cost(&inst, 400_000) else {
                 continue;
             };
-            let online = MultiDayOnline::new(&inst).run();
+            let mut driver = Driver::new(MultiDayOnline::new(&inst), structure.clone());
+            driver
+                .submit_batch(inst.online_requests())
+                .expect("clients arrive in time order");
+            let online = driver.cost();
             stats.push(online / opt);
             opt_sum += opt;
             onl_sum += online;
@@ -95,8 +100,15 @@ fn main() {
             let Some(opt) = leasing_deadlines::capacitated::optimal_cost(&inst, 3, 400_000) else {
                 continue;
             };
-            let cheap = FirstFitOnline::new(&inst).run(BuyRule::Cheapest);
-            let rate = FirstFitOnline::new(&inst).run(BuyRule::BestRate);
+            let first_fit = |rule| {
+                let mut driver = Driver::new(FirstFitOnline::new(&inst), structure.clone());
+                driver
+                    .submit_batch(inst.online_requests(rule))
+                    .expect("demands arrive in time order");
+                driver.cost()
+            };
+            let cheap = first_fit(BuyRule::Cheapest);
+            let rate = first_fit(BuyRule::BestRate);
             opt_sum += opt;
             cheap_sum += cheap;
             rate_sum += rate;

@@ -13,12 +13,22 @@ use facility_leasing::offline;
 use facility_leasing::online::PrimalDualFacility;
 use facility_leasing::randomized::RandomizedFacility;
 use leasing_bench::table;
+use leasing_core::engine::{Driver, LeasingAlgorithm};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
 use rand::RngExt;
 
 const SEED: u64 = 22001;
+
+/// The cost of a facility algorithm driven batch by batch over `inst`.
+fn online_cost<A: LeasingAlgorithm<Request = Vec<usize>>>(alg: A, inst: &FacilityInstance) -> f64 {
+    let mut driver = Driver::new(alg, inst.structure().clone());
+    driver
+        .submit_batch(inst.online_requests())
+        .expect("batches arrive in time order");
+    driver.cost()
+}
 
 fn random_instance(
     rng: &mut impl rand::Rng,
@@ -57,12 +67,15 @@ fn main() {
             let Some(opt) = offline::optimal_cost(&inst, 400_000) else {
                 continue;
             };
-            let det = PrimalDualFacility::new(&inst).run();
+            let det = online_cost(PrimalDualFacility::new(&inst), &inst);
             det_stats.push(det / opt);
             // Average the randomized algorithm over 5 seeds per instance.
             let mut sum = 0.0;
             for s in 0..5u64 {
-                sum += RandomizedFacility::new(&inst, &mut seeded(SEED ^ (trial * 5 + s))).run();
+                sum += online_cost(
+                    RandomizedFacility::new(&inst, &mut seeded(SEED ^ (trial * 5 + s))),
+                    &inst,
+                );
             }
             rnd_stats.push(sum / 5.0 / opt);
         }
@@ -88,8 +101,11 @@ fn main() {
         for trial in 0..5u64 {
             let mut rng = seeded(SEED * 3 + 1000 * k as u64 + trial);
             let inst = random_instance(&mut rng, &structure, 5, 24);
-            det_sum += PrimalDualFacility::new(&inst).run();
-            rnd_sum += RandomizedFacility::new(&inst, &mut seeded(SEED + trial)).run();
+            det_sum += online_cost(PrimalDualFacility::new(&inst), &inst);
+            rnd_sum += online_cost(
+                RandomizedFacility::new(&inst, &mut seeded(SEED + trial)),
+                &inst,
+            );
         }
         table::row(
             &[

@@ -21,6 +21,7 @@
 //!   just any randomization.
 
 use leasing_bench::table;
+use leasing_core::engine::Driver;
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
@@ -35,6 +36,15 @@ use parking_permit::PermitInstance;
 const SEED: u64 = 63001;
 const RAND_RUNS: u64 = 12;
 
+/// The deterministic §5.3 algorithm's cost on `inst`.
+fn det_cost(inst: &OldInstance) -> f64 {
+    let mut driver = Driver::new(OldPrimalDual::new(inst), inst.structure.clone());
+    driver
+        .submit_batch(inst.online_requests())
+        .expect("clients arrive in time order");
+    driver.cost()
+}
+
 fn main() {
     println!("seed {SEED}\n");
 
@@ -44,7 +54,7 @@ fn main() {
         let d_max = 2 * ratio;
         let inst = tight_example(d_max, 2, 0.01);
         let opt = tight_example_optimum(0.01);
-        let det = OldPrimalDual::new(&inst).run() / opt;
+        let det = det_cost(&inst) / opt;
         let mut rand_stats = RatioStats::new();
         for s in 0..RAND_RUNS {
             rand_stats.push(randomized_old(&inst, SEED + s).cost / opt);
@@ -94,7 +104,7 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            det_stats.push(OldPrimalDual::new(&inst).run() / opt);
+            det_stats.push(det_cost(&inst) / opt);
             let permit_inst = PermitInstance::new(structure.clone(), days.clone());
             for s in 0..4u64 {
                 rand_stats.push(randomized_old(&inst, SEED + 977 * t + s).cost / opt);

@@ -9,9 +9,10 @@
 //! * E8 (Lemma 3.1): the fractional cost stays within `O(log(δK))·Opt`.
 
 use leasing_bench::table;
+use leasing_core::engine::Driver;
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
-use leasing_core::rng::seeded;
+use leasing_core::rng::{seeded, threshold_count};
 use leasing_workloads::set_systems::{random_system, zipf_arrivals};
 use set_cover_leasing::instance::SmclInstance;
 use set_cover_leasing::offline;
@@ -52,10 +53,11 @@ fn measure(
         if opt <= 0.0 {
             continue;
         }
-        let mut alg = SmclOnline::new(&inst, SEED + t);
-        let cost = alg.run();
-        stats.push(cost / opt);
-        frac_ratio += alg.stats().fractional_cost / opt;
+        let mut alg = Driver::new(SmclOnline::new(&inst, SEED + t), inst.structure.clone());
+        alg.submit_batch(inst.online_requests())
+            .expect("arrivals are time-ordered");
+        stats.push(alg.cost() / opt);
+        frac_ratio += alg.algorithm().stats().fractional_cost / opt;
         count += 1.0;
     }
     let mean_frac = if count > 0.0 {
@@ -136,8 +138,10 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = SmclOnline::new(&inst, SEED + t);
-            stats.push(alg.run() / opt);
+            let mut alg = Driver::new(SmclOnline::new(&inst, SEED + t), inst.structure.clone());
+            alg.submit_batch(inst.online_requests())
+                .expect("arrivals are time-ordered");
+            stats.push(alg.cost() / opt);
         }
         let reference = (4f64 + 1.0).log2() * ((n as f64) + 1.0).log2();
         table::row(
@@ -178,26 +182,28 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = RepetitionsOnline::new(&inst, SEED + t);
-            paper_stats.push(alg.run() / opt);
-            // Plain-threshold ablation uses the raw SMCL machinery
-            // (q = 2⌈log(n+1)⌉) with persistent exclusions emulated by
-            // multiplicity aggregation.
-            let mut plain = SmclOnline::new(&inst, SEED + t);
-            let mut cost = 0.0;
-            {
-                use std::collections::{HashMap, HashSet};
-                let mut used: HashMap<usize, HashSet<usize>> = HashMap::new();
-                for a in &inst.arrivals {
-                    let excluded = used.entry(a.element).or_default().clone();
-                    let s = plain.cover_once(a.time, a.element, &excluded);
-                    used.entry(a.element).or_default().insert(s);
-                }
-                cost += plain.total_cost();
-                fallbacks += plain.stats().fallbacks;
-                arrivals_total += inst.arrivals.len();
-            }
-            plain_stats.push(cost / opt);
+            // Every repetition arrival has multiplicity 1: one request each.
+            let requests: Vec<(u64, usize)> =
+                inst.arrivals.iter().map(|a| (a.time, a.element)).collect();
+            let mut paper = Driver::new(
+                RepetitionsOnline::new(&inst, SEED + t),
+                inst.structure.clone(),
+            );
+            paper
+                .submit_batch(requests.iter().copied())
+                .expect("arrivals are time-ordered");
+            paper_stats.push(paper.cost() / opt);
+            // Plain-threshold ablation: the same persistent exclusions with
+            // the raw SMCL thresholds (q = 2⌈log(n+1)⌉).
+            let plain_q = threshold_count(inst.system.num_elements() as u64);
+            let plain_alg = RepetitionsOnline::with_threshold_count(&inst, SEED + t, plain_q);
+            let mut plain = Driver::new(plain_alg, inst.structure.clone());
+            plain
+                .submit_batch(requests)
+                .expect("arrivals are time-ordered");
+            fallbacks += plain.algorithm().stats().fallbacks;
+            arrivals_total += inst.arrivals.len();
+            plain_stats.push(plain.cost() / opt);
         }
         let fb = 100.0 * fallbacks as f64 / arrivals_total.max(1) as f64;
         table::row(

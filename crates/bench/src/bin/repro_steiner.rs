@@ -8,6 +8,7 @@
 //! per-request baseline degrading with demand repetition.
 
 use leasing_bench::table;
+use leasing_core::engine::{Driver, LeasingAlgorithm};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
@@ -19,6 +20,18 @@ use steiner_leasing::offline::{buy_per_request, route_then_lease};
 use steiner_leasing::online::{RandomizedSteinerLeasing, SteinerLeasingOnline};
 
 const SEED: u64 = 16001;
+
+/// The cost of an online Steiner algorithm driven over `inst`.
+fn online_cost<A: LeasingAlgorithm<Request = (usize, usize)>>(
+    alg: A,
+    inst: &SteinerInstance,
+) -> f64 {
+    let mut driver = Driver::new(alg, inst.structure.clone());
+    driver
+        .submit_batch(inst.online_requests())
+        .expect("requests arrive in time order");
+    driver.cost()
+}
 
 fn main() {
     let structure = LeaseStructure::geometric(3, 2, 4, 1.0, 0.6);
@@ -36,9 +49,9 @@ fn main() {
         let Ok(opt) = steiner_optimal_cost(&inst, 300, 400_000) else {
             continue;
         };
-        let det = SteinerLeasingOnline::new(&inst).run();
+        let det = online_cost(SteinerLeasingOnline::new(&inst), &inst);
         let mut rng2 = seeded(SEED ^ trial);
-        let rnd = RandomizedSteinerLeasing::new(&inst, &mut rng2).run();
+        let rnd = online_cost(RandomizedSteinerLeasing::new(&inst, &mut rng2), &inst);
         let off = route_then_lease(&inst).cost;
         det_stats.push(det / opt);
         rand_stats.push(rnd / opt);
@@ -73,7 +86,7 @@ fn main() {
             let g = connected_erdos_renyi(&mut rng, 12, 0.3, 1.0..3.0);
             let requests = steiner_requests(&mut rng, 12, 30, bias, 3);
             let inst = SteinerInstance::new(g, structure.clone(), requests).unwrap();
-            online_sum += SteinerLeasingOnline::new(&inst).run();
+            online_sum += online_cost(SteinerLeasingOnline::new(&inst), &inst);
             offline_sum += route_then_lease(&inst).cost;
             naive_sum += buy_per_request(&inst).cost;
         }
@@ -98,7 +111,7 @@ fn main() {
             let g = connected_erdos_renyi(&mut rng, n, 0.3, 1.0..3.0);
             let requests = steiner_requests(&mut rng, n, 40, 0.5, 3);
             let inst = SteinerInstance::new(g, structure.clone(), requests).unwrap();
-            let online = SteinerLeasingOnline::new(&inst).run();
+            let online = online_cost(SteinerLeasingOnline::new(&inst), &inst);
             let offline = route_then_lease(&inst).cost;
             stats.push(online / offline);
         }

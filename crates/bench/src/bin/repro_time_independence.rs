@@ -13,6 +13,7 @@
 //! variant stays put.
 
 use leasing_bench::table;
+use leasing_core::engine::Driver;
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -68,10 +69,14 @@ fn main() {
                 continue;
             }
             q3 = leasing_core::rng::threshold_count(n as u64);
-            let mut a3 = SmclOnline::new(&smcl, SEED + t);
-            ch3.push(a3.run() / opt);
-            let mut a5 = ScldOnline::new(&scld, SEED + t);
-            ch5.push(a5.run() / opt);
+            let mut a3 = Driver::new(SmclOnline::new(&smcl, SEED + t), structure.clone());
+            a3.submit_batch(smcl.online_requests())
+                .expect("arrivals are time-ordered");
+            ch3.push(a3.cost() / opt);
+            let mut a5 = Driver::new(ScldOnline::new(&scld, SEED + t), structure.clone());
+            a5.submit_batch(scld.online_requests())
+                .expect("arrivals are time-ordered");
+            ch5.push(a5.cost() / opt);
         }
         table::row(
             &[

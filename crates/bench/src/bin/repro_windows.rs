@@ -17,6 +17,7 @@
 //!   the period sweep varies candidate overlap between clients.
 
 use leasing_bench::table;
+use leasing_core::engine::Driver;
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -31,6 +32,15 @@ use rand::RngExt;
 
 const SEED: u64 = 58001;
 const TRIALS: u64 = 5;
+
+/// Drives `alg` over every client of `inst`; returns its cost.
+fn window_cost(alg: &mut WindowPrimalDual<'_>, inst: &WindowInstance) -> f64 {
+    let mut driver = Driver::new(alg, inst.structure.clone());
+    driver
+        .submit_batch(inst.online_requests())
+        .expect("clients arrive in time order");
+    driver.cost()
+}
 
 fn structure() -> LeaseStructure {
     LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(16, 3.0)])
@@ -64,7 +74,7 @@ fn main() {
                 continue;
             }
             let mut alg = WindowPrimalDual::new(&inst);
-            let cost = alg.run();
+            let cost = window_cost(&mut alg, &inst);
             assert!(is_feasible(&inst, alg.purchases()));
             stats.push(cost / opt);
         }
@@ -116,8 +126,11 @@ fn main() {
             if w_opt <= 0.0 {
                 continue;
             }
-            w_stats.push(WindowPrimalDual::new(&w_inst).run() / w_opt);
-            o_stats.push(OldPrimalDual::new(&o_inst).run() / o_opt);
+            w_stats.push(window_cost(&mut WindowPrimalDual::new(&w_inst), &w_inst) / w_opt);
+            let mut old = Driver::new(OldPrimalDual::new(&o_inst), o_inst.structure.clone());
+            old.submit_batch(o_inst.online_requests())
+                .expect("clients arrive in time order");
+            o_stats.push(old.cost() / o_opt);
         }
         table::row(
             &[
@@ -151,7 +164,7 @@ fn main() {
                 continue;
             }
             let mut alg = WindowPrimalDual::new(&inst);
-            let cost = alg.run();
+            let cost = window_cost(&mut alg, &inst);
             assert!(is_feasible(&inst, alg.purchases()));
             stats.push(cost / opt);
             dual_stats.push(alg.dual_value() / opt);

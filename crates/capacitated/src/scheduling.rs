@@ -90,6 +90,7 @@ mod tests {
     use super::*;
     use crate::offline::optimal_cost;
     use crate::online::{is_feasible_assignment, CapacitatedGreedy, LeaseChoice};
+    use leasing_core::engine::Driver;
     use leasing_core::framework::Triple;
     use leasing_core::lease::LeaseType;
     use std::collections::HashSet;
@@ -149,8 +150,9 @@ mod tests {
         ];
         let inst = to_capacitated(&machines(), structure(), &jobs).unwrap();
         let mut alg = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal);
-        let cost = alg.run();
-        assert!(cost > 0.0);
+        let mut driver = Driver::new(&mut alg, inst.base.structure().clone());
+        driver.submit_batch(inst.base.online_requests()).unwrap();
+        assert!(driver.cost() > 0.0);
         let owned: HashSet<Triple> = alg.owned().copied().collect();
         assert!(is_feasible_assignment(&inst, &owned, alg.assignments()));
     }

@@ -6,12 +6,20 @@ use capacitated_facility::offline;
 use capacitated_facility::online::{is_feasible_assignment, CapacitatedGreedy, LeaseChoice};
 use facility_leasing::instance::FacilityInstance;
 use facility_leasing::metric::Point;
+use leasing_core::engine::{Driver, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use proptest::prelude::*;
 use rand::RngExt;
 use std::collections::HashSet;
+
+/// Drives `alg` over every batch of `inst`; returns the driver's ledger.
+fn drive<A: LeasingAlgorithm<Request = Vec<usize>>>(alg: A, inst: &CapacitatedInstance) -> Ledger {
+    let mut driver = Driver::new(alg, inst.base.structure().clone());
+    driver.submit_batch(inst.base.online_requests()).unwrap();
+    driver.into_parts().1
+}
 
 fn structure() -> LeaseStructure {
     LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -49,14 +57,15 @@ proptest! {
         let inst = random_instance(seed, 3, cap);
         for choice in [LeaseChoice::CheapestTotal, LeaseChoice::BestRate] {
             let mut alg = CapacitatedGreedy::new(&inst, choice);
-            let cost = alg.run();
+            let ledger = drive(&mut alg, &inst);
+            let cost = ledger.total_cost();
             prop_assert!(cost > 0.0);
             let owned: HashSet<Triple> = alg.owned().copied().collect();
             prop_assert!(is_feasible_assignment(&inst, &owned, alg.assignments()),
                 "{choice:?} infeasible");
             // Connection + leasing split sums to the total.
-            let costs = alg.costs();
-            prop_assert!((costs.leasing + costs.connection - cost).abs() < 1e-9);
+            let split = ledger.category_cost(CATEGORY_LEASE) + ledger.category_cost(CATEGORY_CONNECTION);
+            prop_assert!((split - cost).abs() < 1e-9);
         }
     }
 
@@ -73,7 +82,7 @@ proptest! {
             return Ok(());
         };
         prop_assert!(lp <= ilp + 1e-6, "LP {lp} above ILP {ilp}");
-        let greedy = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal).run();
+        let greedy = drive(CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal), &inst).total_cost();
         prop_assert!(greedy >= ilp - 1e-6, "greedy {greedy} below ILP {ilp}");
     }
 }

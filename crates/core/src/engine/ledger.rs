@@ -136,10 +136,12 @@ pub const CATEGORY_CONNECTION: &str = "connection";
 /// breakdown, the decision trace, per-element statistics and a bucketed
 /// timeline of active-lease expiries.
 ///
-/// A ledger is normally owned by a [`Driver`](super::Driver); the problem
-/// crates also keep one internally so their deprecated `serve_*` entry
-/// points stay usable. Long-lived workers can recycle one ledger across
-/// runs with [`Ledger::reset`], which keeps every allocation.
+/// A ledger is owned by a [`Driver`](super::Driver), the only thing that
+/// advances time for an online algorithm. The one exception is the
+/// parking-permit `PermitOnline` composition interface, whose algorithms
+/// keep a private ledger so per-edge and combined permits can be served
+/// directly. Long-lived workers can recycle one ledger across runs with
+/// [`Ledger::reset`], which keeps every allocation.
 #[derive(Clone, Debug, Default)]
 pub struct Ledger {
     structure: Option<LeaseStructure>,

@@ -17,7 +17,7 @@ use crate::dual_ascent::DualAscent;
 use crate::engine::{CoveringEngine, EngineStats};
 use crate::fractional::{DualCertificate, FractionalCovering};
 use crate::rounding::suffix_crossing;
-use leasing_core::framework::{OnlineAlgorithm, Triple};
+use leasing_core::framework::Triple;
 use leasing_core::interval::{aligned_start, candidates_covering, candidates_intersecting};
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::rng::threshold_count;
@@ -118,18 +118,6 @@ impl PermitOnline for GenericParkingPermit {
         candidates_covering(&self.structure, t)
             .into_iter()
             .any(|c| self.owned.contains(&c))
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.cost
-    }
-}
-
-impl OnlineAlgorithm for GenericParkingPermit {
-    type Request = ();
-
-    fn serve(&mut self, time: TimeStep, _request: ()) {
-        self.serve_demand(time);
     }
 
     fn total_cost(&self) -> f64 {
@@ -408,18 +396,6 @@ impl PermitOnline for GenericDeterministicPermit {
     }
 }
 
-impl OnlineAlgorithm for GenericDeterministicPermit {
-    type Request = ();
-
-    fn serve(&mut self, time: TimeStep, _request: ()) {
-        self.serve_demand(time);
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.engine.total_cost()
-    }
-}
-
 /// The §5.3 deterministic OLD algorithm as a [`DualAscent`] instance:
 /// Step 1 raises over the window's candidates and buys the tight
 /// arrival-day leases; Step 2 mirrors them at the deadline via forced
@@ -535,6 +511,7 @@ impl<'a> GenericOld<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
     use parking_permit::rand_alg::RandomizedPermit;
@@ -614,7 +591,9 @@ mod tests {
         let inst = SmclInstance::uniform(triangle_system(), lengths, arrivals).unwrap();
         for seed in 0..20 {
             let mut spec = SmclOnline::new(&inst, seed);
-            let spec_cost = spec.run();
+            let mut driver = Driver::new(&mut spec, inst.structure.clone());
+            driver.submit_batch(inst.online_requests()).unwrap();
+            let spec_cost = driver.cost();
             let mut gen = GenericSmcl::new(&inst, seed);
             let gen_cost = gen.run();
             assert_eq!(
@@ -662,7 +641,9 @@ mod tests {
         let inst = ScldInstance::uniform(triangle_system(), lengths, arrivals).unwrap();
         for seed in 0..20 {
             let mut spec = ScldOnline::new(&inst, seed);
-            let spec_cost = spec.run();
+            let mut driver = Driver::new(&mut spec, inst.structure.clone());
+            driver.submit_batch(inst.online_requests()).unwrap();
+            let spec_cost = driver.cost();
             let mut gen = GenericScld::new(&inst, seed);
             let gen_cost = gen.run();
             assert_eq!(
@@ -724,7 +705,9 @@ mod tests {
         ];
         let inst = OldInstance::new(structure(), clients).expect("sorted clients");
         let mut spec = OldPrimalDual::new(&inst);
-        let spec_cost = spec.run();
+        let mut driver = Driver::new(&mut spec, inst.structure.clone());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        let spec_cost = driver.cost();
         let mut gen = GenericOld::new(&inst);
         let gen_cost = gen.run();
         assert_eq!(spec_cost.to_bits(), gen_cost.to_bits());

@@ -9,7 +9,7 @@
 //! of time* (Theorem 5.7). With `d_max = 0` this improves SetCoverLeasing
 //! to `O(log(mK) · log l_max)` (Corollary 5.8).
 
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
+use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_intersecting;
 use leasing_core::lease::LeaseStructure;
@@ -174,6 +174,12 @@ impl ScldInstance {
         }
         out
     }
+
+    /// The `(time, (slack, element))` request stream the online algorithm
+    /// is driven with: one request per arrival, in order.
+    pub fn online_requests(&self) -> impl Iterator<Item = (TimeStep, (u64, usize))> + '_ {
+        self.arrivals.iter().map(|a| (a.time, (a.slack, a.element)))
+    }
 }
 
 /// Per-run telemetry of [`ScldOnline`].
@@ -199,13 +205,11 @@ pub struct ScldOnline<'a> {
     thresholds: HashMap<Triple, f64>,
     q: u32,
     /// Purchase mirror for the [`owned`](ScldOnline::owned) diagnostics
-    /// accessor; the serve path queries [`Ledger::owns`].
+    /// accessor; the serve path queries
+    /// [`Ledger::owns`](leasing_core::engine::Ledger::owns).
     owned: HashSet<Triple>,
     stats: ScldStats,
     rng: StdRng,
-    next_arrival: usize,
-    /// Decision ledger backing the deprecated `serve` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> ScldOnline<'a> {
@@ -232,35 +236,7 @@ impl<'a> ScldOnline<'a> {
             owned: HashSet::new(),
             stats: ScldStats::default(),
             rng: StdRng::seed_from_u64(seed),
-            next_arrival: 0,
-            ledger: Ledger::new(instance.structure.clone()),
         }
-    }
-
-    /// Serves all remaining arrivals; returns the total cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        while self.next_arrival < self.instance.arrivals.len() {
-            let a = self.instance.arrivals[self.next_arrival];
-            self.next_arrival += 1;
-            ledger.advance(a.time);
-            self.serve_with(&a, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.ledger.total_cost()
-    }
-
-    /// Total cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the legacy serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// Instrumentation counters.
@@ -367,6 +343,7 @@ impl<'a> LeasingAlgorithm for ScldOnline<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
 
     fn system() -> SetSystem {
@@ -375,6 +352,13 @@ mod tests {
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(16, 3.0)]).unwrap()
+    }
+
+    /// Drives `alg` over every arrival of `inst`; returns the total cost.
+    fn drive(alg: &mut ScldOnline<'_>, inst: &ScldInstance) -> f64 {
+        let mut driver = Driver::new(alg, inst.structure.clone());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        driver.cost()
     }
 
     #[test]
@@ -391,7 +375,7 @@ mod tests {
         .unwrap();
         for seed in 0..10 {
             let mut alg = ScldOnline::new(&inst, seed);
-            let cost = alg.run();
+            let cost = drive(&mut alg, &inst);
             assert!(cost > 0.0);
             let owned: HashSet<Triple> = alg.owned().copied().collect();
             assert!(is_feasible(&inst, &owned), "seed {seed}");
@@ -417,7 +401,7 @@ mod tests {
         // Exactly K candidates per containing set.
         assert_eq!(cands.len(), 2 * inst.structure.num_types());
         let mut alg = ScldOnline::new(&inst, 1);
-        alg.run();
+        drive(&mut alg, &inst);
         let owned: HashSet<Triple> = alg.owned().copied().collect();
         assert!(is_feasible(&inst, &owned));
     }
@@ -449,7 +433,7 @@ mod tests {
         .unwrap();
         let run = |seed| {
             let mut alg = ScldOnline::new(&inst, seed);
-            alg.run()
+            drive(&mut alg, &inst)
         };
         assert_eq!(run(9).to_bits(), run(9).to_bits());
     }
@@ -463,7 +447,7 @@ mod tests {
         )
         .unwrap();
         let mut alg = ScldOnline::new(&inst, 4);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         let stats = alg.stats();
         assert!((stats.rounded_cost + stats.fallback_cost - cost).abs() < 1e-9);
         assert!(stats.fractional_cost > 0.0);

@@ -46,6 +46,14 @@ mod tests {
     use super::*;
     use crate::offline;
     use crate::old::{is_feasible, OldPrimalDual};
+    use leasing_core::engine::Driver;
+
+    /// Drives `alg` over every client of `inst`; returns the total cost.
+    fn drive(alg: &mut OldPrimalDual<'_>, inst: &OldInstance) -> f64 {
+        let mut driver = Driver::new(alg, inst.structure.clone());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        driver.cost()
+    }
 
     #[test]
     fn algorithm_pays_theta_dmax_over_lmin() {
@@ -53,7 +61,7 @@ mod tests {
         let l_min = 2;
         let inst = tight_example(d_max, l_min, 0.01);
         let mut alg = OldPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         assert!(is_feasible(&inst, alg.purchases()));
         let opt = tight_example_optimum(0.01);
         let ratio = cost / opt;
@@ -80,7 +88,7 @@ mod tests {
         for d_max in [8u64, 16, 32, 64] {
             let inst = tight_example(d_max, 2, 0.01);
             let mut alg = OldPrimalDual::new(&inst);
-            let cost = alg.run();
+            let cost = drive(&mut alg, &inst);
             ratios.push(cost / tight_example_optimum(0.01));
         }
         // Doubling d_max should (roughly) double the ratio.

@@ -195,13 +195,20 @@ impl WindowInstance {
         }
         seen.into_iter().collect()
     }
+
+    /// The `(arrival, client)` request stream the online algorithm is
+    /// driven with: one request per client, in order.
+    pub fn online_requests(&self) -> impl Iterator<Item = (TimeStep, WindowClient)> + '_ {
+        self.clients.iter().map(|c| (c.arrival, c.clone()))
+    }
 }
 
 /// The primal-dual online algorithm for service windows.
 ///
 /// ```
+/// use leasing_core::engine::Driver;
 /// use leasing_core::lease::{LeaseStructure, LeaseType};
-/// use leasing_deadlines::windows::{WindowClient, WindowInstance, WindowPrimalDual};
+/// use leasing_deadlines::windows::{is_feasible, WindowClient, WindowInstance, WindowPrimalDual};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let structure = LeaseStructure::new(vec![
@@ -213,10 +220,10 @@ impl WindowInstance {
 ///     WindowClient::specific(2, vec![3, 9])?,   // day 3 or day 9
 ///     WindowClient::interval(5, 4),             // any day of [5, 9]
 /// ])?;
-/// let mut alg = WindowPrimalDual::new(&instance);
-/// let cost = alg.run();
-/// assert!(cost > 0.0);
-/// assert!(instance.clients.iter().all(|c| alg.is_served(c)));
+/// let mut driver = Driver::new(WindowPrimalDual::new(&instance), instance.structure.clone());
+/// driver.submit_batch(instance.online_requests())?;
+/// assert!(driver.cost() > 0.0);
+/// assert!(is_feasible(&instance, driver.algorithm().purchases()));
 /// # Ok(())
 /// # }
 /// ```
@@ -225,10 +232,7 @@ pub struct WindowPrimalDual<'a> {
     instance: &'a WindowInstance,
     contributions: HashMap<Lease, f64>,
     dual_value: f64,
-    next_client: usize,
     purchases: Vec<Lease>,
-    /// Decision ledger backing the deprecated `serve` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> WindowPrimalDual<'a> {
@@ -238,36 +242,8 @@ impl<'a> WindowPrimalDual<'a> {
             instance,
             contributions: HashMap::new(),
             dual_value: 0.0,
-            next_client: 0,
             purchases: Vec::new(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
-    }
-
-    /// Serves all remaining clients and returns the total cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        while self.next_client < self.instance.clients.len() {
-            let c = self.instance.clients[self.next_client].clone();
-            self.next_client += 1;
-            ledger.advance(c.arrival);
-            self.serve_with(&c, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.ledger.total_cost()
-    }
-
-    /// Total cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the legacy serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// Total dual value raised — a lower bound on the optimum by weak
@@ -279,14 +255,6 @@ impl<'a> WindowPrimalDual<'a> {
     /// The leases bought, in purchase order.
     pub fn purchases(&self) -> &[Lease] {
         &self.purchases
-    }
-
-    /// Whether some owned lease covers one of `client`'s allowed days (on
-    /// the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), query the driver's
-    /// ledger).
-    pub fn is_served(&self, client: &WindowClient) -> bool {
-        Self::served_in(&self.ledger, client)
     }
 
     /// Whether `ledger` holds a lease covering one of the allowed days —
@@ -442,10 +410,18 @@ pub fn window_lp_lower_bound(instance: &WindowInstance) -> f64 {
 mod tests {
     use super::*;
     use crate::old::{OldClient, OldInstance, OldPrimalDual};
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(16, 3.0)]).unwrap()
+    }
+
+    /// Drives `alg` over every client of `inst`; returns the total cost.
+    fn drive(alg: &mut WindowPrimalDual<'_>, inst: &WindowInstance) -> f64 {
+        let mut driver = Driver::new(alg, inst.structure.clone());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        driver.cost()
     }
 
     #[test]
@@ -519,7 +495,7 @@ mod tests {
         )
         .unwrap();
         let mut alg = WindowPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         assert!(cost > 0.0);
         assert!(is_feasible(&inst, alg.purchases()));
     }
@@ -535,10 +511,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut driver = leasing_core::engine::Driver::with_ledger(
-            WindowPrimalDual::new(&inst),
-            Ledger::new(inst.structure.clone()),
-        );
+        let mut driver = Driver::new(WindowPrimalDual::new(&inst), inst.structure.clone());
         driver.submit(0, inst.clients[0].clone()).unwrap();
         let after_first = driver.ledger().total_cost();
         driver.submit(0, inst.clients[1].clone()).unwrap();
@@ -560,8 +533,10 @@ mod tests {
             days.iter().map(|&t| OldClient::new(t, 0)).collect(),
         )
         .unwrap();
-        let w_cost = WindowPrimalDual::new(&w_inst).run();
-        let o_cost = OldPrimalDual::new(&o_inst).run();
+        let w_cost = drive(&mut WindowPrimalDual::new(&w_inst), &w_inst);
+        let mut old = Driver::new(OldPrimalDual::new(&o_inst), o_inst.structure.clone());
+        old.submit_batch(o_inst.online_requests()).unwrap();
+        let o_cost = old.cost();
         assert!(
             (w_cost - o_cost).abs() < 1e-9,
             "window {w_cost} vs old {o_cost}"
@@ -581,7 +556,7 @@ mod tests {
         // A single short lease at day 40 serves everybody.
         assert!((opt - 1.0).abs() < 1e-9, "opt {opt}");
         let mut alg = WindowPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         assert!(is_feasible(&inst, alg.purchases()));
         assert!(cost >= opt - 1e-9);
     }
@@ -598,7 +573,7 @@ mod tests {
         )
         .unwrap();
         let mut alg = WindowPrimalDual::new(&inst);
-        alg.run();
+        drive(&mut alg, &inst);
         let opt = window_optimal_cost(&inst, 10_000).unwrap();
         assert!(
             alg.dual_value() <= opt + 1e-9,

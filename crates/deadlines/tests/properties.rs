@@ -1,8 +1,10 @@
 //! Property tests for the deadline models: OLD primal-dual feasibility and
 //! guarantee, SCLD feasibility, and the capacitated first-fit invariants.
 
+use leasing_core::engine::{Driver, LeasingAlgorithm};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
+use leasing_core::time::TimeStep;
 use leasing_deadlines::capacitated::{
     is_feasible as cap_feasible, BuyRule, CapacitatedOldInstance, FirstFitOnline, WeightedDemand,
 };
@@ -16,6 +18,17 @@ use leasing_deadlines::windows::{
 use proptest::prelude::*;
 use rand::RngExt;
 use set_cover_leasing::system::SetSystem;
+
+/// Drives `alg` over `requests`; returns the total cost.
+fn driven_cost<A: LeasingAlgorithm>(
+    alg: A,
+    structure: &LeaseStructure,
+    requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
+) -> f64 {
+    let mut driver = Driver::new(alg, structure.clone());
+    driver.submit_batch(requests).unwrap();
+    driver.cost()
+}
 
 fn structure() -> LeaseStructure {
     LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -42,7 +55,7 @@ proptest! {
         let clients = random_clients(seed, 6, 5);
         let inst = OldInstance::new(structure(), clients).unwrap();
         let mut alg = OldPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = driven_cost(&mut alg, &inst.structure, inst.online_requests());
         prop_assert!(old_feasible(&inst, alg.purchases()));
         let Some(opt) = offline::old_optimal_cost(&inst, 300_000) else {
             return Ok(());
@@ -66,7 +79,7 @@ proptest! {
         }
         let inst = OldInstance::new(structure(), clients).unwrap();
         let mut alg = OldPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = driven_cost(&mut alg, &inst.structure, inst.online_requests());
         let Some(opt) = offline::old_optimal_cost(&inst, 300_000) else {
             return Ok(());
         };
@@ -91,7 +104,7 @@ proptest! {
         }
         let inst = ScldInstance::uniform(system, structure(), arrivals).unwrap();
         let mut alg = ScldOnline::new(&inst, alg_seed);
-        let cost = alg.run();
+        let cost = driven_cost(&mut alg, &inst.structure, inst.online_requests());
         prop_assert!(cost > 0.0);
         let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
         prop_assert!(leasing_deadlines::scld::is_feasible(&inst, &owned));
@@ -118,7 +131,7 @@ proptest! {
         }
         let inst = WindowInstance::new(structure(), clients).unwrap();
         let mut alg = WindowPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = driven_cost(&mut alg, &inst.structure, inst.online_requests());
         prop_assert!(win_feasible(&inst, alg.purchases()));
         let k = inst.structure.num_types();
         prop_assert!(alg.purchases().len() <= 2 * k * inst.clients.len(),
@@ -168,7 +181,7 @@ proptest! {
         let inst = CapacitatedOldInstance::new(structure(), 1.0, demands).unwrap();
         for rule in [BuyRule::Cheapest, BuyRule::BestRate] {
             let mut alg = FirstFitOnline::new(&inst);
-            let cost = alg.run(rule);
+            let cost = driven_cost(&mut alg, &inst.structure, inst.online_requests(rule));
             prop_assert!(cost > 0.0);
             prop_assert!(cap_feasible(&inst, &alg.purchases(), alg.assignments()),
                 "rule {rule:?} produced an infeasible packing");

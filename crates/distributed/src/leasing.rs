@@ -56,8 +56,6 @@ pub struct DistributedFacilityLeasing {
     /// `(client, facility)` assignments in service order.
     assignments: Vec<(usize, usize)>,
     stats: LeasingRunStats,
-    /// Decision ledger backing the legacy entry points.
-    ledger: Ledger,
 }
 
 impl DistributedFacilityLeasing {
@@ -80,7 +78,6 @@ impl DistributedFacilityLeasing {
     ) -> Result<Self, BiddingError> {
         // Validate via the substrate's constructor, then keep the raw data.
         let _ = BiddingInstance::new(base_prices.clone(), distances.clone())?;
-        let ledger = Ledger::new(structure.clone());
         let active_until = vec![0; base_prices.len()];
         Ok(DistributedFacilityLeasing {
             base_prices,
@@ -93,7 +90,6 @@ impl DistributedFacilityLeasing {
             active_until,
             assignments: Vec::new(),
             stats: LeasingRunStats::default(),
-            ledger,
         })
     }
 
@@ -132,19 +128,6 @@ impl DistributedFacilityLeasing {
     /// The leases bought so far.
     pub fn owned(&self) -> impl Iterator<Item = &Triple> {
         self.owned.iter()
-    }
-
-    /// Total cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// Core step: distributed bidding + MIS over effective prices, then
@@ -219,12 +202,11 @@ impl LeasingAlgorithm for DistributedFacilityLeasing {
     }
 }
 
-/// Whether every recorded assignment used a facility whose lease covered
-/// the client's arrival step, checked against the decision trace in
-/// `ledger` — pass `alg.ledger()` for the legacy serve path or the
-/// driver's ledger when driven through a
-/// [`Driver`](leasing_core::engine::Driver).
-pub fn is_feasible(_alg: &DistributedFacilityLeasing, ledger: &Ledger) -> bool {
+/// Whether every connection charge in `ledger` landed at a time some lease
+/// of the same facility covers — i.e. every client was assigned to an
+/// active facility. Pass the ledger of the
+/// [`Driver`](leasing_core::engine::Driver) that ran the algorithm.
+pub fn is_feasible(ledger: &Ledger) -> bool {
     // Each connection charge must land at a time some lease of the same
     // facility covers — one coverage-index query per charge.
     ledger
@@ -236,6 +218,7 @@ pub fn is_feasible(_alg: &DistributedFacilityLeasing, ledger: &Ledger) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
 
     fn structure() -> LeaseStructure {
@@ -254,10 +237,8 @@ mod tests {
         .unwrap()
     }
 
-    fn driven(
-        alg: DistributedFacilityLeasing,
-    ) -> leasing_core::engine::Driver<DistributedFacilityLeasing> {
-        leasing_core::engine::Driver::with_ledger(alg, Ledger::new(structure()))
+    fn driven(alg: DistributedFacilityLeasing) -> Driver<DistributedFacilityLeasing> {
+        Driver::new(alg, structure())
     }
 
     #[test]
@@ -266,7 +247,7 @@ mod tests {
         driver.submit(0, vec![0, 2]).unwrap();
         driver.submit(1, vec![1]).unwrap();
         assert_eq!(driver.algorithm().assignments().len(), 3);
-        assert!(is_feasible(driver.algorithm(), driver.ledger()));
+        assert!(is_feasible(driver.ledger()));
         assert!(driver.ledger().total_cost() > 0.0);
         let stats = driver.algorithm().stats();
         assert!(stats.rounds > 0 && stats.messages > 0);
@@ -297,6 +278,17 @@ mod tests {
             driver.ledger().total_cost() > cost_after_first + 1.0,
             "new lease must be bought"
         );
+    }
+
+    #[test]
+    fn connection_outside_every_lease_is_infeasible() {
+        let mut ledger = Ledger::new(structure());
+        // Facility 0 leased for [0, 4); a client connected to it at t = 4.
+        ledger.buy_priced(0, Triple::new(0, 0, 0), 2.0, CATEGORY_LEASE);
+        ledger.charge(1, 0, 0.1, CATEGORY_CONNECTION);
+        assert!(is_feasible(&ledger));
+        ledger.charge(4, 0, 0.1, CATEGORY_CONNECTION);
+        assert!(!is_feasible(&ledger));
     }
 
     #[test]

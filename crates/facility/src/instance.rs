@@ -257,6 +257,12 @@ impl FacilityInstance {
     pub fn batch_sizes(&self) -> Vec<usize> {
         self.batches.iter().map(|b| b.clients.len()).collect()
     }
+
+    /// The `(time, client batch)` request stream an online facility
+    /// algorithm is driven with: one request per batch, in arrival order.
+    pub fn online_requests(&self) -> impl Iterator<Item = (TimeStep, Vec<usize>)> + '_ {
+        self.batches.iter().map(|b| (b.time, b.clients.clone()))
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! Competitive ratio: `4(3 + K) · H_{l_max}` (Theorem 4.5).
 
 use crate::instance::FacilityInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::time::TimeStep;
@@ -29,9 +29,10 @@ const TIGHT_EPS: f64 = 1e-9;
 
 /// The state of the §4.3 online algorithm.
 ///
-/// The driver-facing serve path derives which leases are permanently open
-/// from the ledger's coverage index ([`Ledger::owns`]); the `owned` set is
-/// only a purchase mirror for the diagnostics accessors.
+/// The serve path derives which leases are permanently open from the
+/// ledger's coverage index
+/// ([`Ledger::owns`](leasing_core::engine::Ledger::owns)); the `owned` set
+/// is only a purchase mirror for the diagnostics accessors.
 #[derive(Debug)]
 pub struct PrimalDualFacility<'a> {
     instance: &'a FacilityInstance,
@@ -42,9 +43,6 @@ pub struct PrimalDualFacility<'a> {
     alpha_hat: Vec<f64>,
     /// Final `(facility, lease type)` per client.
     assignments: Vec<Option<(usize, usize)>>,
-    /// Decision ledger backing the deprecated `step`/`run` entry points.
-    ledger: Ledger,
-    next_batch: usize,
     /// Global ids of all clients that have arrived so far.
     arrived: Vec<usize>,
 }
@@ -57,65 +55,8 @@ impl<'a> PrimalDualFacility<'a> {
             owned: HashSet::new(),
             alpha_hat: vec![0.0; instance.num_clients()],
             assignments: vec![None; instance.num_clients()],
-            ledger: Ledger::new(instance.structure().clone()),
-            next_batch: 0,
             arrived: Vec::new(),
         }
-    }
-
-    /// Processes all remaining batches and returns the total cost.
-    pub fn run(&mut self) -> f64 {
-        while self.next_batch < self.instance.batches().len() {
-            self.step();
-        }
-        self.total_cost()
-    }
-
-    /// Processes the next batch (one time step). Returns `false` when no
-    /// batches remain.
-    pub fn step(&mut self) -> bool {
-        if self.next_batch >= self.instance.batches().len() {
-            return false;
-        }
-        let batch = &self.instance.batches()[self.next_batch];
-        self.next_batch += 1;
-        let time = batch.time;
-        let new_clients: Vec<usize> = batch.clients.clone();
-        self.arrived.extend(new_clients.iter().copied());
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(time);
-        self.process_round(time, &new_clients, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-        true
-    }
-
-    /// Total (lease + connection) cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// Lease cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn lease_cost(&self) -> f64 {
-        self.ledger.category_cost(CATEGORY_LEASE)
-    }
-
-    /// Connection cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn connection_cost(&self) -> f64 {
-        self.ledger.category_cost(CATEGORY_CONNECTION)
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// The dual values `α̂_j` of all clients processed so far.
@@ -486,7 +427,15 @@ pub fn is_feasible(
 mod tests {
     use super::*;
     use crate::metric::Point;
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::{LeaseStructure, LeaseType};
+
+    /// Drives `alg` over every batch of `inst`; returns the driver's ledger.
+    fn drive(alg: &mut PrimalDualFacility<'_>, inst: &FacilityInstance) -> Ledger {
+        let mut driver = Driver::new(alg, inst.structure().clone());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        driver.into_parts().1
+    }
 
     fn lengths() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(4, 2.0), LeaseType::new(16, 6.0)]).unwrap()
@@ -508,7 +457,7 @@ mod tests {
     fn all_clients_end_up_feasibly_connected() {
         let inst = simple_instance();
         let mut alg = PrimalDualFacility::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst).total_cost();
         assert!(cost > 0.0);
         let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
         assert!(is_feasible(&inst, &owned, &alg.assignments()));
@@ -523,16 +472,13 @@ mod tests {
         )
         .unwrap();
         let mut alg = PrimalDualFacility::new(&inst);
-        let cost = alg.run();
+        let ledger = drive(&mut alg, &inst);
         // One facility, one client: the algorithm opens the facility with
         // the cheaper lease (cost 2) and connects over distance 3.
-        assert!(
-            (alg.lease_cost() - 2.0).abs() < 1e-6,
-            "lease {}",
-            alg.lease_cost()
-        );
-        assert!((alg.connection_cost() - 3.0).abs() < 1e-6);
-        assert!((cost - 5.0).abs() < 1e-6);
+        let lease = ledger.category_cost(CATEGORY_LEASE);
+        assert!((lease - 2.0).abs() < 1e-6, "lease {lease}");
+        assert!((ledger.category_cost(CATEGORY_CONNECTION) - 3.0).abs() < 1e-6);
+        assert!((ledger.total_cost() - 5.0).abs() < 1e-6);
         // α̂ = d + c (the client pays the whole opening bid).
         assert!((alg.alpha_hat()[0] - 5.0).abs() < 1e-6);
     }
@@ -553,7 +499,7 @@ mod tests {
         )
         .unwrap();
         let mut alg = PrimalDualFacility::new(&inst);
-        alg.run();
+        drive(&mut alg, &inst);
         let assignments = alg.assignments();
         assert!(
             assignments.iter().all(|&(_, i, _)| i == 0),
@@ -578,7 +524,7 @@ mod tests {
         )
         .unwrap();
         let mut alg = PrimalDualFacility::new(&inst);
-        alg.run();
+        drive(&mut alg, &inst);
         assert_eq!(
             alg.owned_leases().count(),
             1,
@@ -602,7 +548,7 @@ mod tests {
         )
         .unwrap();
         let mut alg = PrimalDualFacility::new(&inst);
-        alg.run();
+        drive(&mut alg, &inst);
         assert!(
             alg.owned_leases().count() >= 2,
             "lease must be bought twice"
@@ -610,19 +556,10 @@ mod tests {
     }
 
     #[test]
-    fn step_reports_exhaustion() {
-        let inst = simple_instance();
-        let mut alg = PrimalDualFacility::new(&inst);
-        assert!(alg.step());
-        assert!(alg.step());
-        assert!(!alg.step());
-    }
-
-    #[test]
     fn lemma_4_1_cost_bounded_by_3_plus_k_times_duals() {
         let inst = simple_instance();
         let mut alg = PrimalDualFacility::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst).total_cost();
         let dual_sum: f64 = alg.alpha_hat().iter().sum();
         let k = inst.structure().num_types() as f64;
         assert!(
@@ -641,7 +578,7 @@ mod tests {
         )
         .unwrap();
         let mut alg = PrimalDualFacility::new(&inst);
-        alg.run();
+        drive(&mut alg, &inst);
         let facilities: HashSet<usize> = alg.assignments().iter().map(|&(_, i, _)| i).collect();
         assert_eq!(
             facilities.len(),

@@ -12,7 +12,7 @@
 //! algorithm and against exact optima on small instances.
 
 use crate::instance::FacilityInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::time::TimeStep;
@@ -31,8 +31,6 @@ pub struct RandomizedFacility<'a> {
     mirrored: Vec<usize>,
     /// `(client, facility)` assignments in service order.
     assignments: Vec<(usize, usize)>,
-    /// Decision ledger backing the legacy `run` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> RandomizedFacility<'a> {
@@ -58,7 +56,6 @@ impl<'a> RandomizedFacility<'a> {
             permits,
             mirrored,
             assignments: Vec::new(),
-            ledger: Ledger::new(instance.structure().clone()),
         }
     }
 
@@ -119,46 +116,6 @@ impl<'a> RandomizedFacility<'a> {
         self.permits[i].is_covered(t)
     }
 
-    /// Runs the whole instance and returns the final total cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        for batch in self.instance.batches().to_vec() {
-            ledger.advance(batch.time);
-            self.serve_with(batch.time, &batch.clients, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.total_cost()
-    }
-
-    /// Lease cost paid so far (sum over the per-facility permits).
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn lease_cost(&self) -> f64 {
-        self.ledger.category_cost(CATEGORY_LEASE)
-    }
-
-    /// Connection cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn connection_cost(&self) -> f64 {
-        self.ledger.category_cost(CATEGORY_CONNECTION)
-    }
-
-    /// Lease plus connection cost.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
     /// `(client, facility)` assignments in service order.
     pub fn assignments(&self) -> &[(usize, usize)] {
         &self.assignments
@@ -195,12 +152,23 @@ mod tests {
     use crate::metric::Point;
     use crate::offline;
     use crate::online::PrimalDualFacility;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseStructure;
     use leasing_core::rng::seeded;
     use rand::RngExt;
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
+    }
+
+    /// Drives `alg` over every batch of `inst`; returns the total cost.
+    fn driven_cost<A: LeasingAlgorithm<Request = Vec<usize>>>(
+        alg: A,
+        inst: &FacilityInstance,
+    ) -> f64 {
+        let mut driver = Driver::new(alg, inst.structure().clone());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        driver.cost()
     }
 
     fn two_site_instance(batches: Vec<(u64, Vec<Point>)>) -> FacilityInstance {
@@ -221,7 +189,7 @@ mod tests {
         ]);
         let mut rng = seeded(5);
         let mut alg = RandomizedFacility::new(&inst, &mut rng);
-        let cost = alg.run();
+        let cost = driven_cost(&mut alg, &inst);
         assert!(cost > 0.0);
         assert!(alg.is_feasible());
         assert_eq!(alg.assignments().len(), 4);
@@ -232,7 +200,7 @@ mod tests {
         let inst = two_site_instance(vec![(0, vec![Point::new(0.1, 0.0)])]);
         let mut rng = seeded(6);
         let mut alg = RandomizedFacility::new(&inst, &mut rng);
-        let _ = alg.run();
+        let _ = driven_cost(&mut alg, &inst);
         assert_eq!(alg.assignments()[0].1, 0, "the co-located site must win");
     }
 
@@ -244,7 +212,7 @@ mod tests {
         ]);
         let mut a = RandomizedFacility::new(&inst, &mut seeded(9));
         let mut b = RandomizedFacility::new(&inst, &mut seeded(9));
-        assert_eq!(a.run(), b.run());
+        assert_eq!(driven_cost(&mut a, &inst), driven_cost(&mut b, &inst));
     }
 
     #[test]
@@ -262,7 +230,7 @@ mod tests {
             let inst = two_site_instance(batches);
             let opt = offline::optimal_cost(&inst, 400_000).expect("small instance");
             let mut alg = RandomizedFacility::new(&inst, &mut seeded(100 + trial));
-            let cost = alg.run();
+            let cost = driven_cost(&mut alg, &inst);
             assert!(cost >= opt - 1e-6, "trial {trial}: {cost} < opt {opt}");
         }
     }
@@ -279,7 +247,7 @@ mod tests {
         let runs = 20;
         for seed in 0..runs {
             let mut alg = RandomizedFacility::new(&inst, &mut seeded(seed));
-            total += alg.run();
+            total += driven_cost(&mut alg, &inst);
         }
         let mean = total / runs as f64;
         assert!(mean < 8.0, "mean {mean} should beat the all-short cost 8");
@@ -294,11 +262,11 @@ mod tests {
             .map(|t| (2 * t, vec![Point::new(0.1, 0.0), Point::new(3.9, 0.1)]))
             .collect();
         let inst = two_site_instance(batches);
-        let det = PrimalDualFacility::new(&inst).run();
+        let det = driven_cost(PrimalDualFacility::new(&inst), &inst);
         let mut sum = 0.0;
         let runs = 10;
         for seed in 0..runs {
-            sum += RandomizedFacility::new(&inst, &mut seeded(seed)).run();
+            sum += driven_cost(RandomizedFacility::new(&inst, &mut seeded(seed)), &inst);
         }
         let mean = sum / runs as f64;
         assert!(

@@ -11,12 +11,20 @@ use facility_leasing::offline;
 use facility_leasing::online::{is_feasible, PrimalDualFacility};
 use facility_leasing::randomized::RandomizedFacility;
 use facility_leasing::series::h_series;
+use leasing_core::engine::{Driver, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use proptest::prelude::*;
 use rand::RngExt;
 use std::collections::HashSet;
+
+/// Drives `alg` over every batch of `inst`; returns the driver's ledger.
+fn drive<A: LeasingAlgorithm<Request = Vec<usize>>>(alg: A, inst: &FacilityInstance) -> Ledger {
+    let mut driver = Driver::new(alg, inst.structure().clone());
+    driver.submit_batch(inst.online_requests()).unwrap();
+    driver.into_parts().1
+}
 
 fn structure() -> LeaseStructure {
     LeaseStructure::new(vec![LeaseType::new(4, 2.0), LeaseType::new(16, 6.0)]).unwrap()
@@ -51,8 +59,10 @@ proptest! {
     fn primal_dual_dominates_the_optimum(seed in 0u64..200) {
         let inst = random_instance(seed, 2, 3);
         let mut alg = PrimalDualFacility::new(&inst);
-        let cost = alg.run();
-        prop_assert!((alg.lease_cost() + alg.connection_cost() - cost).abs() < 1e-9);
+        let ledger = drive(&mut alg, &inst);
+        let cost = ledger.total_cost();
+        let split = ledger.category_cost(CATEGORY_LEASE) + ledger.category_cost(CATEGORY_CONNECTION);
+        prop_assert!((split - cost).abs() < 1e-9);
         let Some(opt) = offline::optimal_cost(&inst, 300_000) else {
             return Ok(());
         };
@@ -67,10 +77,10 @@ proptest! {
     fn all_algorithms_respect_the_lp_bound(seed in 0u64..200, rng_seed in 0u64..20) {
         let inst = random_instance(seed, 3, 3);
         let lb = offline::lp_lower_bound(&inst);
-        let pd = PrimalDualFacility::new(&inst).run();
+        let pd = drive(PrimalDualFacility::new(&inst), &inst).total_cost();
         let greedy = GreedyLease::new(&inst).run();
         let mut rnd_alg = RandomizedFacility::new(&inst, &mut seeded(rng_seed));
-        let rnd = rnd_alg.run();
+        let rnd = drive(&mut rnd_alg, &inst).total_cost();
         prop_assert!(rnd_alg.is_feasible());
         for (name, cost) in [("pd", pd), ("greedy", greedy), ("rnd", rnd)] {
             prop_assert!(cost >= lb - 1e-6, "{name} cost {cost} below LP bound {lb}");
@@ -95,8 +105,10 @@ proptest! {
     fn nagarajan_williamson_is_feasible_and_dominates_opt(seed in 0u64..200) {
         let inst = random_instance(seed, 3, 3);
         let mut alg = NagarajanWilliamson::new(&inst);
-        let cost = alg.run();
-        prop_assert!((alg.lease_cost() + alg.connection_cost() - cost).abs() < 1e-9);
+        let ledger = drive(&mut alg, &inst);
+        let cost = ledger.total_cost();
+        let split = ledger.category_cost(CATEGORY_LEASE) + ledger.category_cost(CATEGORY_CONNECTION);
+        prop_assert!((split - cost).abs() < 1e-9);
         prop_assert_eq!(alg.assignments().len(), inst.num_clients());
         let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
         prop_assert!(is_feasible(&inst, &owned, &alg.assignments()));
@@ -139,11 +151,11 @@ proptest! {
         let Ok(opt) = fld::optimal_cost(&inst, 300_000) else {
             return Ok(());
         };
-        let arrive = PrimalDualFacility::new(inst.base()).run();
+        let arrive = drive(PrimalDualFacility::new(inst.base()), inst.base()).total_cost();
         let by_deadline = inst.defer_to_deadline().unwrap();
-        let deadline = PrimalDualFacility::new(&by_deadline).run();
+        let deadline = drive(PrimalDualFacility::new(&by_deadline), &by_deadline).total_cost();
         let by_aligned = inst.defer_to_aligned().unwrap();
-        let aligned = PrimalDualFacility::new(&by_aligned).run();
+        let aligned = drive(PrimalDualFacility::new(&by_aligned), &by_aligned).total_cost();
         for (name, cost) in [("arrive", arrive), ("deadline", deadline), ("aligned", aligned)] {
             prop_assert!(cost >= opt - 1e-6, "{name} {cost} below FLD opt {opt}");
         }
@@ -164,7 +176,7 @@ proptest! {
     fn lemma_4_4_scaled_duals_are_dual_feasible(seed in 0u64..200) {
         let inst = random_instance(seed, 3, 3);
         let mut alg = PrimalDualFacility::new(&inst);
-        alg.run();
+        drive(&mut alg, &inst);
         let alpha = alg.alpha_hat();
         let h = h_series(&inst.batch_sizes()).max(1.0);
         let structure = inst.structure();

@@ -137,8 +137,6 @@ pub struct VcPrimalDual<'a> {
     contributions: HashMap<(usize, Lease), f64>,
     dual_value: f64,
     purchases: Vec<(usize, Lease)>,
-    /// Decision ledger backing the legacy `run` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> VcPrimalDual<'a> {
@@ -149,19 +147,7 @@ impl<'a> VcPrimalDual<'a> {
             contributions: HashMap::new(),
             dual_value: 0.0,
             purchases: Vec::new(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
-    }
-
-    /// Whether edge `e` has an endpoint with an active lease at time `t`
-    /// (on the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), query the driver's ledger).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn is_covered(&self, e: usize, t: TimeStep) -> bool {
-        Self::covered_in(self.instance, &self.ledger, e, t)
     }
 
     /// Whether edge `e` has a covered endpoint at `t` according to `ledger`.
@@ -209,30 +195,6 @@ impl<'a> VcPrimalDual<'a> {
         );
     }
 
-    /// Runs the whole instance and returns the final cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        for &(t, e) in &self.instance.arrivals.clone() {
-            ledger.advance(t);
-            self.serve_with(t, e, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.ledger.total_cost()
-    }
-
-    /// Total primal cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
     /// Total dual value raised so far — by weak duality a lower bound on the
     /// interval-model optimum.
     pub fn dual_value(&self) -> f64 {
@@ -268,12 +230,20 @@ pub fn is_feasible(instance: &VcLeasingInstance, purchases: &[(usize, Lease)]) -
 mod tests {
     use super::*;
     use crate::reduction::vertex_cover_instance;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
     use leasing_graph::generators::connected_erdos_renyi;
     use proptest::prelude::*;
     use rand::RngExt;
     use set_cover_leasing::offline;
+
+    /// Drives `alg` over every arrival of `inst`; returns the total cost.
+    fn drive(alg: &mut VcPrimalDual<'_>, inst: &VcLeasingInstance) -> f64 {
+        let mut driver = Driver::new(alg, inst.structure.clone());
+        driver.submit_batch(inst.arrivals.iter().copied()).unwrap();
+        driver.cost()
+    }
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -291,7 +261,7 @@ mod tests {
         // every tight candidate.
         let inst = path_instance(vec![(0, 0)]);
         let mut alg = VcPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         assert!((cost - 2.0).abs() < 1e-9);
         assert_eq!(alg.purchases().len(), 2);
         assert!(alg.purchases().iter().all(|&(_, l)| l.type_index == 0));
@@ -305,7 +275,7 @@ mod tests {
         // tightens vertex-1 candidates, the second edge can reuse them.
         let inst = path_instance(vec![(0, 0), (0, 1)]);
         let mut alg = VcPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         assert!(is_feasible(&inst, alg.purchases()));
         // Never worse than covering each edge separately.
         assert!(cost <= 2.0 + 1e-9, "cost {cost}");
@@ -314,10 +284,7 @@ mod tests {
     #[test]
     fn covered_arrivals_are_free() {
         let inst = path_instance(vec![(0, 0), (1, 0)]);
-        let mut driver = leasing_core::engine::Driver::with_ledger(
-            VcPrimalDual::new(&inst),
-            Ledger::new(inst.structure.clone()),
-        );
+        let mut driver = Driver::new(VcPrimalDual::new(&inst), inst.structure.clone());
         driver.submit(0, 0).unwrap();
         let cost = driver.ledger().total_cost();
         driver.submit(1, 0).unwrap();
@@ -329,7 +296,7 @@ mod tests {
         let g = leasing_graph::graph::Graph::new(2, vec![(0, 1, 1.0)]).unwrap();
         let inst = VcLeasingInstance::new(g, structure(), vec![100.0, 1.0], vec![(0, 0)]).unwrap();
         let mut alg = VcPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         // The cheap endpoint must be bought, not the expensive one.
         assert!((cost - 1.0).abs() < 1e-9);
         assert!(alg.purchases().iter().all(|&(v, _)| v == 1));
@@ -348,7 +315,7 @@ mod tests {
             }
             let inst = VcLeasingInstance::unweighted(g, structure(), arrivals).unwrap();
             let mut alg = VcPrimalDual::new(&inst);
-            let cost = alg.run();
+            let cost = drive(&mut alg, &inst);
             let bound = 2.0 * inst.structure.num_types() as f64 * alg.dual_value();
             assert!(cost <= bound + 1e-6, "cost {cost} vs 2K·dual {bound}");
         }
@@ -363,7 +330,7 @@ mod tests {
             .collect();
         let inst = VcLeasingInstance::unweighted(g.clone(), structure(), arrivals.clone()).unwrap();
         let mut alg = VcPrimalDual::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         let reduced = vertex_cover_instance(&g, structure(), &arrivals, None).unwrap();
         let opt = offline::optimal_cost(&reduced, 200_000).expect("tiny instance solves");
         assert!(
@@ -392,7 +359,7 @@ mod tests {
             }
             let inst = VcLeasingInstance::unweighted(g, structure(), arrivals).unwrap();
             let mut alg = VcPrimalDual::new(&inst);
-            let cost = alg.run();
+            let cost = drive(&mut alg, &inst);
             prop_assert!(is_feasible(&inst, alg.purchases()));
             let bound = 2.0 * inst.structure.num_types() as f64 * alg.dual_value();
             prop_assert!(cost <= bound + 1e-6);

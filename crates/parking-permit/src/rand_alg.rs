@@ -9,7 +9,7 @@
 
 use crate::{PermitOnline, PurchaseLog, PERMIT_ELEMENT};
 use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
-use leasing_core::framework::{OnlineAlgorithm, Triple};
+use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_covering;
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
@@ -37,7 +37,7 @@ pub struct RandomizedPermit {
     /// instrumentation: fractional cost ≤ O(log K)·Opt).
     fractional_cost: f64,
     purchases: Vec<Lease>,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point.
+    /// Decision ledger backing the [`PermitOnline`] composition interface.
     ledger: Ledger,
 }
 
@@ -139,17 +139,14 @@ impl RandomizedPermit {
         &self.purchases
     }
 
-    /// Total cost paid so far (inherent mirror of the trait methods, so
-    /// callers need not disambiguate between [`PermitOnline`] and
-    /// [`OnlineAlgorithm`]).
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
+    /// Total cost paid so far through [`PermitOnline::serve_demand`]
+    /// (inherent mirror of [`PermitOnline::total_cost`], so callers need
+    /// not import the trait).
     pub fn total_cost(&self) -> f64 {
         self.ledger.total_cost()
     }
 
-    /// The internal decision ledger backing the deprecated serve path.
+    /// The ledger behind [`PermitOnline::serve_demand`].
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }
@@ -187,18 +184,6 @@ impl PermitOnline for RandomizedPermit {
 
     fn is_covered(&self, t: TimeStep) -> bool {
         self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-}
-
-impl OnlineAlgorithm for RandomizedPermit {
-    type Request = ();
-
-    fn serve(&mut self, time: TimeStep, _request: ()) {
-        self.serve_demand(time);
     }
 
     fn total_cost(&self) -> f64 {

@@ -186,6 +186,14 @@ impl SmclInstance {
             .max()
             .unwrap_or(0)
     }
+
+    /// The `(time, (element, multiplicity))` request stream the online
+    /// algorithm is driven with: one request per arrival, in order.
+    pub fn online_requests(&self) -> impl Iterator<Item = (TimeStep, (usize, usize))> + '_ {
+        self.arrivals
+            .iter()
+            .map(|a| (a.time, (a.element, a.multiplicity)))
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! `2⌈log₂(δn+1)⌉` uniforms instead of `2⌈log₂(n+1)⌉`.
 
 use crate::instance::{Arrival, InstanceError, SmclInstance};
-use crate::online::SmclOnline;
+use crate::online::{SmclOnline, SmclStats};
 use crate::system::SetSystem;
 use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::lease::{LeaseStructure, LeaseType};
@@ -30,10 +30,8 @@ pub fn buy_forever_structure(cost: f64) -> LeaseStructure {
 /// The repetition-aware online set cover algorithm of Corollary 3.5.
 pub struct RepetitionsOnline<'a> {
     inner: SmclOnline<'a>,
-    instance: &'a SmclInstance,
     /// Sets already used for each element across *all* its past arrivals.
     used: HashMap<usize, HashSet<usize>>,
-    arrivals_served: usize,
 }
 
 impl<'a> RepetitionsOnline<'a> {
@@ -46,44 +44,38 @@ impl<'a> RepetitionsOnline<'a> {
     /// Panics if the instance has more than one lease type (repetitions are
     /// defined for the buy-forever setting).
     pub fn new(instance: &'a SmclInstance, seed: u64) -> Self {
+        let delta = instance.system.delta() as u64;
+        let n = instance.system.num_elements() as u64;
+        let q = threshold_count(delta.saturating_mul(n));
+        RepetitionsOnline::with_threshold_count(instance, seed, q)
+    }
+
+    /// Creates the algorithm with an explicit threshold count `q` (used by
+    /// the E7 ablation against the Chapter 3 `2⌈log₂(n+1)⌉` thresholds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance has more than one lease type or `q == 0`.
+    pub fn with_threshold_count(instance: &'a SmclInstance, seed: u64, q: u32) -> Self {
         assert_eq!(
             instance.structure.num_types(),
             1,
             "OnlineSetCoverWithRepetitions is a K = 1 problem"
         );
-        let delta = instance.system.delta() as u64;
-        let n = instance.system.num_elements() as u64;
-        let q = threshold_count(delta.saturating_mul(n));
         RepetitionsOnline {
             inner: SmclOnline::with_threshold_count(instance, seed, q),
-            instance,
             used: HashMap::new(),
-            arrivals_served: 0,
         }
-    }
-
-    /// Runs over all instance arrivals (multiplicities are interpreted as
-    /// repeated arrivals at the same time step).
-    pub fn run(&mut self) -> f64 {
-        for a in &self.instance.arrivals {
-            for _ in 0..a.multiplicity {
-                let excluded = self.used.entry(a.element).or_default().clone();
-                let chosen = self.inner.cover_once(a.time, a.element, &excluded);
-                self.used.entry(a.element).or_default().insert(chosen);
-                self.arrivals_served += 1;
-            }
-        }
-        self.inner.total_cost()
-    }
-
-    /// Total cost paid so far.
-    pub fn total_cost(&self) -> f64 {
-        self.inner.total_cost()
     }
 
     /// The distinct sets used for `element` so far.
     pub fn sets_used_for(&self, element: usize) -> usize {
         self.used.get(&element).map(HashSet::len).unwrap_or(0)
+    }
+
+    /// Instrumentation counters of the underlying Chapter 3 machinery.
+    pub fn stats(&self) -> SmclStats {
+        self.inner.stats()
     }
 }
 
@@ -97,7 +89,6 @@ impl<'a> LeasingAlgorithm for RepetitionsOnline<'a> {
             .inner
             .cover_once_with(time, element, &excluded, &mut books);
         self.used.entry(element).or_default().insert(chosen);
-        self.arrivals_served += 1;
     }
 }
 
@@ -136,6 +127,7 @@ pub fn repetition_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::Driver;
 
     fn system() -> SetSystem {
         SetSystem::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2], vec![0, 1, 2]]).unwrap()
@@ -149,13 +141,12 @@ mod tests {
             vec![(0, 0), (1, 0), (2, 0)],
         )
         .unwrap();
-        let mut alg = RepetitionsOnline::new(&inst, 7);
-        alg.run();
-        assert_eq!(alg.sets_used_for(0), 3);
-        assert!(
-            alg.total_cost() >= 3.0 - 1e-9,
-            "three distinct sets cost >= 3"
-        );
+        let mut driver = Driver::new(RepetitionsOnline::new(&inst, 7), inst.structure.clone());
+        driver
+            .submit_batch(inst.arrivals.iter().map(|a| (a.time, a.element)))
+            .unwrap();
+        assert_eq!(driver.algorithm().sets_used_for(0), 3);
+        assert!(driver.cost() >= 3.0 - 1e-9, "three distinct sets cost >= 3");
     }
 
     #[test]
@@ -172,10 +163,7 @@ mod tests {
     #[test]
     fn driven_arrivals_track_usage_incrementally() {
         let inst = repetition_instance(system(), &[1.0; 4], vec![]).unwrap();
-        let mut driver = leasing_core::engine::Driver::with_ledger(
-            RepetitionsOnline::new(&inst, 3),
-            leasing_core::engine::Ledger::new(inst.structure.clone()),
-        );
+        let mut driver = Driver::new(RepetitionsOnline::new(&inst, 3), inst.structure.clone());
         driver.submit(0, 1).unwrap();
         assert_eq!(driver.algorithm().sets_used_for(1), 1);
         driver.submit(5, 1).unwrap();

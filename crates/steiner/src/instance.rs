@@ -143,6 +143,12 @@ impl SteinerInstance {
             .map(|t| t.cost)
             .fold(f64::INFINITY, f64::min)
     }
+
+    /// The `(time, (u, v))` request stream the online algorithms are
+    /// driven with: one request per terminal pair, in arrival order.
+    pub fn online_requests(&self) -> impl Iterator<Item = (TimeStep, (usize, usize))> + '_ {
+        self.requests.iter().map(|r| (r.time, (r.u, r.v)))
+    }
 }
 
 #[cfg(test)]

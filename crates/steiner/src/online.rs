@@ -12,8 +12,8 @@
 //!   Meyerson's headline bound for `SteinerTreeLeasing`.
 
 use crate::instance::{PairRequest, SteinerInstance};
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_LEASE};
-use leasing_core::framework::{OnlineAlgorithm, Triple};
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
+use leasing_core::framework::Triple;
 use leasing_core::lease::Lease;
 use leasing_core::time::TimeStep;
 use leasing_graph::paths::dijkstra_with;
@@ -46,8 +46,6 @@ pub struct GenericSteinerLeasing<'a, P> {
     /// the ledger.
     mirrored: Vec<usize>,
     stats: SteinerStats,
-    /// Decision ledger backing the legacy `run`/`OnlineAlgorithm` entry points.
-    ledger: Ledger,
 }
 
 /// Deterministic instantiation: per-edge primal-dual permits
@@ -70,7 +68,6 @@ impl<'a> SteinerLeasingOnline<'a> {
             permits,
             mirrored,
             stats: SteinerStats::default(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
     }
 }
@@ -88,7 +85,6 @@ impl<'a> RandomizedSteinerLeasing<'a> {
             permits,
             mirrored,
             stats: SteinerStats::default(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
     }
 }
@@ -164,30 +160,6 @@ impl<'a, P: PermitOnline + PurchaseLog> GenericSteinerLeasing<'a, P> {
         }
         self.mirrored[e] = self.permits[e].purchases().len();
     }
-
-    /// Runs the whole instance and returns the final cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        for req in self.instance.requests.clone() {
-            ledger.advance(req.time);
-            self.serve_with(req, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.total_cost()
-    }
-
-    /// Total leasing cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the legacy serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
 }
 
 impl<'a, P: PermitOnline + PurchaseLog> LeasingAlgorithm for GenericSteinerLeasing<'a, P> {
@@ -196,24 +168,6 @@ impl<'a, P: PermitOnline + PurchaseLog> LeasingAlgorithm for GenericSteinerLeasi
 
     fn on_request(&mut self, time: TimeStep, request: (usize, usize), mut books: Books<'_>) {
         self.serve_with(PairRequest::new(time, request.0, request.1), &mut books);
-    }
-}
-
-impl<'a, P: PermitOnline + PurchaseLog> OnlineAlgorithm for GenericSteinerLeasing<'a, P> {
-    type Request = (usize, usize);
-
-    fn serve(&mut self, time: TimeStep, request: (usize, usize)) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(time);
-        self.serve_with(
-            PairRequest::new(time, request.0, request.1),
-            &mut Books::new(&mut ledger),
-        );
-        self.ledger = ledger;
-    }
-
-    fn total_cost(&self) -> f64 {
-        GenericSteinerLeasing::total_cost(self)
     }
 }
 
@@ -249,9 +203,17 @@ pub fn solution_cost(instance: &SteinerInstance, solution: &[(usize, Lease)]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::{LeaseStructure, LeaseType};
     use leasing_core::rng::seeded;
     use leasing_graph::graph::Graph;
+
+    /// Drives `alg` over every request of `inst`; returns the total cost.
+    fn drive<A: LeasingAlgorithm<Request = (usize, usize)>>(alg: A, inst: &SteinerInstance) -> f64 {
+        let mut driver = Driver::new(alg, inst.structure.clone());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        driver.cost()
+    }
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -267,7 +229,7 @@ mod tests {
     fn routes_along_the_cheap_path_and_leases_it() {
         let inst = diamond_instance(vec![PairRequest::new(0, 0, 3)]);
         let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         // Cheap path 0-1-3 (weight 2), each edge gets a 2-day lease at rate 1.
         assert!((cost - 2.0).abs() < 1e-9);
         assert!(alg.edge_active(0, 0));
@@ -283,7 +245,7 @@ mod tests {
             PairRequest::new(1, 0, 3), // same pair inside the lease window
         ]);
         let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         assert!(
             (cost - 2.0).abs() < 1e-9,
             "second request must be free, got {cost}"
@@ -299,7 +261,7 @@ mod tests {
         let g = Graph::new(2, vec![(0, 1, 1.0)]).unwrap();
         let inst = SteinerInstance::new(g, structure(), requests).unwrap();
         let mut alg = SteinerLeasingOnline::new(&inst);
-        let _ = alg.run();
+        drive(&mut alg, &inst);
         let long_bought = alg.permits[0].purchases().iter().any(|l| l.type_index == 1);
         assert!(long_bought, "sustained demand must trigger the long lease");
     }
@@ -311,7 +273,7 @@ mod tests {
             PairRequest::new(100, 0, 3), // far outside every lease window
         ]);
         let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = alg.run();
+        let cost = drive(&mut alg, &inst);
         assert!(cost > 3.9, "both requests must pay, got {cost}");
     }
 
@@ -323,7 +285,7 @@ mod tests {
             PairRequest::new(9, 0, 2),
         ]);
         let mut alg = SteinerLeasingOnline::new(&inst);
-        let _ = alg.run();
+        let cost = drive(&mut alg, &inst);
         let mut solution: Vec<(usize, Lease)> = Vec::new();
         for (e, permit) in alg.permits.iter().enumerate() {
             for &lease in permit.purchases() {
@@ -332,7 +294,7 @@ mod tests {
         }
         assert!(is_feasible(&inst, &solution));
         assert!(
-            (solution_cost(&inst, &solution) - alg.total_cost()).abs() < 1e-9,
+            (solution_cost(&inst, &solution) - cost).abs() < 1e-9,
             "per-edge permit costs must match the scaled lease prices"
         );
     }
@@ -346,10 +308,10 @@ mod tests {
         ]);
         let mut rng_a = seeded(5);
         let mut a = RandomizedSteinerLeasing::new(&inst, &mut rng_a);
-        let cost_a = a.run();
+        let cost_a = drive(&mut a, &inst);
         let mut rng_b = seeded(5);
         let mut b = RandomizedSteinerLeasing::new(&inst, &mut rng_b);
-        let cost_b = b.run();
+        let cost_b = drive(&mut b, &inst);
         assert_eq!(cost_a, cost_b, "same seed must reproduce the run");
         for req in &inst.requests {
             // Every request must be connected through active edges.
@@ -363,14 +325,5 @@ mod tests {
             });
             assert!(sp.is_reachable(req.v));
         }
-    }
-
-    #[test]
-    fn online_algorithm_trait_serves_pairs() {
-        use leasing_core::framework::run_online;
-        let inst = diamond_instance(vec![]);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = run_online(&mut alg, vec![(0u64, (0usize, 3usize)), (1, (2, 3))]).unwrap();
-        assert!(cost > 0.0);
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests for Steiner tree leasing: feasibility under every seed
 //! and topology, baseline ordering, and reuse economics.
 
+use leasing_core::engine::Driver;
 use leasing_core::lease::{Lease, LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_graph::generators::connected_erdos_renyi;
@@ -39,8 +40,9 @@ proptest! {
     fn deterministic_online_is_always_feasible(seed in 0u64..400, n in 2usize..10) {
         let inst = random_instance(seed, n, 6);
         let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = alg.run();
-        prop_assert!(cost >= 0.0);
+        let mut driver = Driver::new(&mut alg, inst.structure.clone());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        prop_assert!(driver.cost() >= 0.0);
         for req in &inst.requests {
             // Each request must be connected through active edges.
             let g = &inst.graph;
@@ -57,7 +59,9 @@ proptest! {
         let inst = random_instance(seed, 6, 5);
         let mut rng = seeded(rng_seed);
         let mut alg = RandomizedSteinerLeasing::new(&inst, &mut rng);
-        let _ = alg.run();
+        Driver::new(&mut alg, inst.structure.clone())
+            .submit_batch(inst.online_requests())
+            .unwrap();
         for req in &inst.requests {
             let g = &inst.graph;
             let sp = leasing_graph::paths::dijkstra_with(g, req.u, |e| {

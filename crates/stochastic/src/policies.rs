@@ -42,8 +42,8 @@ fn best_type_for_rate(structure: &LeaseStructure, p: f64) -> usize {
 /// served demand.
 ///
 /// The [`PermitOnline`]/[`CoveringLease`] accessors (`is_covered`,
-/// `covering_lease_at`, `total_cost`) answer from the internal legacy-path
-/// ledger; when driving through a
+/// `covering_lease_at`, `total_cost`) answer from the ledger behind
+/// [`PermitOnline::serve_demand`]; when driving through a
 /// [`Driver`](leasing_core::engine::Driver), query the driver's ledger
 /// ([`Ledger::covered`]/[`Ledger::active_lease`]) instead.
 #[derive(Clone, Debug)]
@@ -51,7 +51,7 @@ pub struct RateThreshold {
     structure: LeaseStructure,
     p: f64,
     purchases: Vec<Lease>,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point.
+    /// Decision ledger backing the [`PermitOnline`] composition interface.
     ledger: Ledger,
 }
 
@@ -99,7 +99,7 @@ impl RateThreshold {
         self.purchases.iter()
     }
 
-    /// The internal decision ledger backing the deprecated serve path.
+    /// The ledger behind [`PermitOnline::serve_demand`].
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }
@@ -141,9 +141,10 @@ impl PurchaseLog for RateThreshold {
 /// the same expected-price rule as [`RateThreshold`].
 ///
 /// As with [`RateThreshold`], the `is_covered`/`covering_lease_at`/
-/// `total_cost` accessors answer from the internal legacy-path ledger —
-/// under a [`Driver`](leasing_core::engine::Driver), query the driver's
-/// ledger instead.
+/// `total_cost` accessors answer from the ledger behind
+/// [`PermitOnline::serve_demand`] — under a
+/// [`Driver`](leasing_core::engine::Driver), query the driver's ledger
+/// instead.
 #[derive(Clone, Debug)]
 pub struct EmpiricalRate {
     structure: LeaseStructure,
@@ -151,7 +152,7 @@ pub struct EmpiricalRate {
     first_day: Option<TimeStep>,
     last_day: TimeStep,
     purchases: Vec<Lease>,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point.
+    /// Decision ledger backing the [`PermitOnline`] composition interface.
     ledger: Ledger,
 }
 
@@ -189,7 +190,7 @@ impl EmpiricalRate {
         self.purchases.push(lease);
     }
 
-    /// The internal decision ledger backing the deprecated serve path.
+    /// The ledger behind [`PermitOnline::serve_demand`].
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }
@@ -293,7 +294,7 @@ pub struct SwitchCombiner<A, B> {
     b: B,
     switches: usize,
     last_leader_a: bool,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point.
+    /// Decision ledger backing the [`PermitOnline`] composition interface.
     ledger: Ledger,
 }
 
@@ -343,7 +344,7 @@ impl<A: PermitOnline + CoveringLease, B: PermitOnline + CoveringLease> SwitchCom
         }
     }
 
-    /// The internal decision ledger backing the deprecated serve path.
+    /// The ledger behind [`PermitOnline::serve_demand`].
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }

@@ -94,7 +94,7 @@ pub struct PriceAwarePermit<'a> {
     /// [`owned`](PriceAwarePermit::owned).
     contributions: Vec<(TimeStep, f64)>,
     owned: HashSet<Lease>,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point.
+    /// Decision ledger backing the [`PermitOnline`] composition interface.
     ledger: Ledger,
 }
 
@@ -116,7 +116,7 @@ impl<'a> PriceAwarePermit<'a> {
         self.owned.iter()
     }
 
-    /// The internal decision ledger backing the deprecated serve path.
+    /// The ledger behind [`PermitOnline::serve_demand`].
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }

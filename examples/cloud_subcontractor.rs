@@ -13,6 +13,7 @@
 
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
+use online_resource_leasing::engine::{Driver, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use online_resource_leasing::facility::baselines::GreedyLease;
 use online_resource_leasing::facility::metric::Point;
 use online_resource_leasing::facility::offline;
@@ -53,14 +54,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         instance.structure().num_types()
     );
 
-    let mut pd = PrimalDualFacility::new(&instance);
-    let pd_cost = pd.run();
+    let mut pd = Driver::new(
+        PrimalDualFacility::new(&instance),
+        instance.structure().clone(),
+    );
+    pd.submit_batch(instance.online_requests())?;
+    let pd_cost = pd.cost();
     println!(
         "primal-dual online:  total {:>7.2} (leases {:>6.2}, connections {:>6.2}, {} leases bought)",
         pd_cost,
-        pd.lease_cost(),
-        pd.connection_cost(),
-        pd.owned_leases().count()
+        pd.ledger().category_cost(CATEGORY_LEASE),
+        pd.ledger().category_cost(CATEGORY_CONNECTION),
+        pd.algorithm().owned_leases().count()
     );
 
     let mut greedy = GreedyLease::new(&instance);

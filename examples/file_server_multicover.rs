@@ -12,6 +12,7 @@
 
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
+use online_resource_leasing::engine::Driver;
 use online_resource_leasing::set_cover::instance::{Arrival, SmclInstance};
 use online_resource_leasing::set_cover::offline;
 use online_resource_leasing::set_cover::online::{is_feasible_cover, SmclOnline};
@@ -38,7 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let instance = SmclInstance::uniform(catalogue, leases, requests)?;
 
     let mut alg = SmclOnline::new(&instance, 2015);
-    let cost = alg.run();
+    let mut driver = Driver::new(&mut alg, instance.structure.clone());
+    driver.submit_batch(instance.online_requests())?;
+    let cost = driver.cost();
     let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
     assert!(is_feasible_cover(&instance, &owned));
     println!(

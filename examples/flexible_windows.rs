@@ -17,6 +17,7 @@ use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::deadlines::windows::{
     window_lp_lower_bound, window_optimal_cost, WindowClient, WindowInstance, WindowPrimalDual,
 };
+use online_resource_leasing::engine::Driver;
 use rand::RngExt;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,7 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let instance = WindowInstance::new(contracts, tourists)?;
     let mut alg = WindowPrimalDual::new(&instance);
-    let cost = alg.run();
+    let mut driver = Driver::new(&mut alg, instance.structure.clone());
+    driver.submit_batch(instance.online_requests())?;
+    let cost = driver.cost();
     println!(
         "online cost {cost:.2} with {} guide contracts; dual certificate {:.2}",
         alg.purchases().len(),

@@ -15,6 +15,7 @@ use online_resource_leasing::capacitated::online::{CapacitatedGreedy, LeaseChoic
 use online_resource_leasing::capacitated::scheduling::{to_capacitated, JobBatch, Machine};
 use online_resource_leasing::core::lease::LeaseStructure;
 use online_resource_leasing::core::rng::seeded;
+use online_resource_leasing::engine::Driver;
 use rand::RngExt;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -60,8 +61,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         instance.base.num_facilities()
     );
 
-    let myopic = CapacitatedGreedy::new(&instance, LeaseChoice::CheapestTotal).run();
-    let invest = CapacitatedGreedy::new(&instance, LeaseChoice::BestRate).run();
+    let greedy_cost = |choice| {
+        let greedy = CapacitatedGreedy::new(&instance, choice);
+        let mut driver = Driver::new(greedy, instance.base.structure().clone());
+        driver
+            .submit_batch(instance.base.online_requests())
+            .map(|()| driver.cost())
+    };
+    let myopic = greedy_cost(LeaseChoice::CheapestTotal)?;
+    let invest = greedy_cost(LeaseChoice::BestRate)?;
     println!("greedy (cheapest rental now): {myopic:>7.2}");
     println!("greedy (best daily rate):     {invest:>7.2}");
 

@@ -12,6 +12,7 @@
 
 use online_resource_leasing::core::lease::LeaseStructure;
 use online_resource_leasing::core::rng::seeded;
+use online_resource_leasing::engine::Driver;
 use online_resource_leasing::graph::generators::connected_erdos_renyi;
 use online_resource_leasing::steiner::instance::{PairRequest, SteinerInstance};
 use online_resource_leasing::steiner::offline::{buy_per_request, route_then_lease};
@@ -53,9 +54,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let instance = SteinerInstance::new(network, leases, requests)?;
 
-    let det_cost = SteinerLeasingOnline::new(&instance).run();
+    let mut det = Driver::new(
+        SteinerLeasingOnline::new(&instance),
+        instance.structure.clone(),
+    );
+    det.submit_batch(instance.online_requests())?;
+    let det_cost = det.cost();
     let mut rng2 = seeded(seed ^ 0xFFFF);
-    let rand_cost = RandomizedSteinerLeasing::new(&instance, &mut rng2).run();
+    let rand_alg = RandomizedSteinerLeasing::new(&instance, &mut rng2);
+    let mut rand = Driver::new(rand_alg, instance.structure.clone());
+    rand.submit_batch(instance.online_requests())?;
+    let rand_cost = rand.cost();
     let offline = route_then_lease(&instance);
     let naive = buy_per_request(&instance);
 

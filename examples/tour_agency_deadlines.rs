@@ -15,6 +15,7 @@ use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::deadlines::offline;
 use online_resource_leasing::deadlines::old::{OldInstance, OldPrimalDual};
 use online_resource_leasing::deadlines::tight::{tight_example, tight_example_optimum};
+use online_resource_leasing::engine::Driver;
 use online_resource_leasing::workloads::arrivals::old_clients;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let instance = OldInstance::new(contracts, tourists)?;
 
     let mut alg = OldPrimalDual::new(&instance);
-    let cost = alg.run();
+    let mut driver = Driver::new(&mut alg, instance.structure.clone());
+    driver.submit_batch(instance.online_requests())?;
+    let cost = driver.cost();
     println!(
         "online cost {cost:.2} ({} guide contracts)",
         alg.purchases().len()
@@ -47,8 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The adversarial procrastination trap (Figure 5.3).
     println!("\n-- Figure 5.3 tight example (d_max = 64, l_min = 2) --");
     let trap = tight_example(64, 2, 0.01);
-    let mut alg = OldPrimalDual::new(&trap);
-    let trap_cost = alg.run();
+    let mut trap_run = Driver::new(OldPrimalDual::new(&trap), trap.structure.clone());
+    trap_run.submit_batch(trap.online_requests())?;
+    let trap_cost = trap_run.cost();
     let trap_opt = tight_example_optimum(0.01);
     println!(
         "online pays {trap_cost:.2}, hindsight pays {trap_opt:.2} -> ratio {:.1} ≈ d_max/l_min = {}",

@@ -11,6 +11,7 @@ use leasing_core::rng::seeded;
 use leasing_workloads::set_systems::{random_system, zipf_arrivals};
 use online_resource_leasing::covering::{GenericParkingPermit, GenericScld, GenericSmcl};
 use online_resource_leasing::deadlines::scld::{ScldArrival, ScldInstance};
+use online_resource_leasing::engine::Driver;
 use online_resource_leasing::facility::instance::FacilityInstance;
 use online_resource_leasing::facility::metric::Point;
 use online_resource_leasing::facility::{offline as fac_offline, offline_primal_dual};
@@ -44,9 +45,10 @@ fn unification_holds_at_workload_scale() {
         let system = random_system(&mut rng, 60, 30, 5);
         let arrivals = zipf_arrivals(&mut rng, &system, 120, 256, 1.2, 3);
         let inst = SmclInstance::uniform(system, sets_structure(), arrivals).expect("feasible");
-        let mut spec = SmclOnline::new(&inst, trial);
+        let mut spec = Driver::new(SmclOnline::new(&inst, trial), sets_structure());
+        spec.submit_batch(inst.online_requests()).unwrap();
         let mut gen = GenericSmcl::new(&inst, trial);
-        assert_eq!(spec.run().to_bits(), gen.run().to_bits(), "trial {trial}");
+        assert_eq!(spec.cost().to_bits(), gen.run().to_bits(), "trial {trial}");
     }
 }
 

@@ -2,13 +2,15 @@
 //! crate, the type-erased [`EngineHandle`] and the generic
 //! [`LeasingAlgorithm`]/[`Driver`] path must produce **bit-identical**
 //! costs and decision traces — both flow through the same core step, so
-//! any divergence is a handle-plumbing bug. Crates that retain a
-//! non-deprecated legacy entry point (`PermitOnline::serve_demand`,
-//! `run()`) are additionally pinned against it.
+//! any divergence is a handle-plumbing bug. The permit algorithms, whose
+//! `PermitOnline::serve_demand` composition interface keeps its own
+//! ledger, are additionally pinned against it.
 
 use online_resource_leasing::core::engine::{Driver, DriverError, EngineHandle, Ledger};
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
+use online_resource_leasing::facility::instance::FacilityInstance;
+use online_resource_leasing::facility::metric::Point;
 use proptest::prelude::*;
 use rand::RngExt;
 
@@ -26,6 +28,26 @@ fn demand_days(seed: u64, horizon: u64, density: f64) -> Vec<u64> {
     (0..horizon)
         .filter(|_| rng.random::<f64>() < density)
         .collect()
+}
+
+/// Two random facility sites and three client batches.
+fn facility_instance(seed: u64) -> FacilityInstance {
+    let mut rng = seeded(seed);
+    let facilities = vec![
+        Point::new(rng.random::<f64>() * 10.0, rng.random::<f64>() * 10.0),
+        Point::new(rng.random::<f64>() * 10.0, rng.random::<f64>() * 10.0),
+    ];
+    let mut batches = Vec::new();
+    let mut t = 0u64;
+    for _ in 0..3 {
+        t += 1 + rng.random_range(0..4u64);
+        let n = 1 + rng.random_range(0..2usize);
+        let clients: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.random::<f64>() * 10.0, rng.random::<f64>() * 10.0))
+            .collect();
+        batches.push((t, clients));
+    }
+    FacilityInstance::euclidean(facilities, structure(), batches).unwrap()
 }
 
 /// Asserts the two ledgers agree bit-for-bit on cost and trace.
@@ -108,32 +130,149 @@ proptest! {
 
     #[test]
     fn facility_paths_are_bit_identical(seed in 0u64..150) {
-        use online_resource_leasing::facility::instance::FacilityInstance;
-        use online_resource_leasing::facility::metric::Point;
         use online_resource_leasing::facility::online::PrimalDualFacility;
-        let mut rng = seeded(seed);
-        let facilities = vec![
-            Point::new(rng.random::<f64>() * 10.0, rng.random::<f64>() * 10.0),
-            Point::new(rng.random::<f64>() * 10.0, rng.random::<f64>() * 10.0),
-        ];
-        let mut batches = Vec::new();
-        let mut t = 0u64;
-        for _ in 0..3 {
-            t += 1 + rng.random_range(0..4u64);
-            let n = 1 + rng.random_range(0..2usize);
-            let clients: Vec<Point> = (0..n)
-                .map(|_| Point::new(rng.random::<f64>() * 10.0, rng.random::<f64>() * 10.0))
-                .collect();
-            batches.push((t, clients));
-        }
-        let inst = FacilityInstance::euclidean(facilities, structure(), batches).unwrap();
-        let mut legacy = PrimalDualFacility::new(&inst);
-        legacy.run();
+        let inst = facility_instance(seed);
+        let mut handle = EngineHandle::new(PrimalDualFacility::new(&inst), structure());
+        handle.submit_batch(inst.online_requests()).unwrap();
         let mut driver = Driver::new(PrimalDualFacility::new(&inst), structure());
-        driver
-            .submit_batch(inst.batches().iter().map(|b| (b.time, b.clients.clone())))
-            .unwrap();
-        assert_equivalent(legacy.ledger(), driver.ledger());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
+    }
+
+    #[test]
+    fn nagarajan_williamson_paths_are_bit_identical(seed in 0u64..150) {
+        use online_resource_leasing::facility::nagarajan_williamson::NagarajanWilliamson;
+        let inst = facility_instance(seed);
+        let mut handle = EngineHandle::new(NagarajanWilliamson::new(&inst), structure());
+        handle.submit_batch(inst.online_requests()).unwrap();
+        let mut driver = Driver::new(NagarajanWilliamson::new(&inst), structure());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
+    }
+
+    #[test]
+    fn randomized_facility_paths_are_bit_identical(seed in 0u64..150, alg_seed in 0u64..20) {
+        use online_resource_leasing::facility::randomized::RandomizedFacility;
+        let inst = facility_instance(seed);
+        let alg = RandomizedFacility::new(&inst, &mut seeded(alg_seed));
+        let mut handle = EngineHandle::new(alg, structure());
+        handle.submit_batch(inst.online_requests()).unwrap();
+        let alg = RandomizedFacility::new(&inst, &mut seeded(alg_seed));
+        let mut driver = Driver::new(alg, structure());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
+    }
+
+    #[test]
+    fn repetitions_paths_are_bit_identical(seed in 0u64..200) {
+        use online_resource_leasing::set_cover::repetitions::{repetition_instance, RepetitionsOnline};
+        use online_resource_leasing::set_cover::system::SetSystem;
+        let system =
+            SetSystem::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2], vec![0, 1, 2]]).unwrap();
+        let mut rng = seeded(seed);
+        // Every element arrives twice; at least two sets contain each.
+        let mut arrivals = Vec::new();
+        let mut t = 0u64;
+        for k in 0..6 {
+            t += rng.random_range(0..5u64);
+            arrivals.push((t, k % 3));
+        }
+        let inst = repetition_instance(system, &[1.0, 1.0, 1.0, 2.5], arrivals.clone()).unwrap();
+        let mut handle = EngineHandle::new(RepetitionsOnline::new(&inst, seed), inst.structure.clone());
+        handle.submit_batch(arrivals.iter().copied()).unwrap();
+        let mut driver = Driver::new(RepetitionsOnline::new(&inst, seed), inst.structure.clone());
+        driver.submit_batch(arrivals.iter().copied()).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
+    }
+
+    #[test]
+    fn scld_paths_are_bit_identical(seed in 0u64..200) {
+        use online_resource_leasing::deadlines::scld::{ScldArrival, ScldInstance, ScldOnline};
+        use online_resource_leasing::set_cover::system::SetSystem;
+        let system = SetSystem::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2]]).unwrap();
+        let mut rng = seeded(seed);
+        let mut arrivals = Vec::new();
+        let mut t = 0u64;
+        for _ in 0..6 {
+            t += rng.random_range(0..5u64);
+            arrivals.push(ScldArrival::new(t, rng.random_range(0..3usize), rng.random_range(0..6u64)));
+        }
+        let inst = ScldInstance::uniform(system, structure(), arrivals).unwrap();
+        let mut handle = EngineHandle::new(ScldOnline::new(&inst, seed), structure());
+        handle.submit_batch(inst.online_requests()).unwrap();
+        let mut driver = Driver::new(ScldOnline::new(&inst, seed), structure());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
+    }
+
+    #[test]
+    fn multi_day_paths_are_bit_identical(seed in 0u64..200) {
+        use online_resource_leasing::deadlines::multi_day::{
+            MultiDayClient, MultiDayInstance, MultiDayOnline,
+        };
+        let mut rng = seeded(seed);
+        let mut clients = Vec::new();
+        let mut t = 0u64;
+        for _ in 0..6 {
+            t += rng.random_range(0..5u64);
+            let duration = rng.random_range(1..4u64);
+            let slack = duration - 1 + rng.random_range(0..4u64);
+            clients.push(MultiDayClient::new(t, slack, duration));
+        }
+        let inst = MultiDayInstance::new(structure(), clients).unwrap();
+        let mut handle = EngineHandle::new(MultiDayOnline::new(&inst), structure());
+        handle.submit_batch(inst.online_requests()).unwrap();
+        let mut driver = Driver::new(MultiDayOnline::new(&inst), structure());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
+    }
+
+    #[test]
+    fn first_fit_paths_are_bit_identical(seed in 0u64..200) {
+        use online_resource_leasing::deadlines::capacitated::{
+            BuyRule, CapacitatedOldInstance, FirstFitOnline, WeightedDemand,
+        };
+        let mut rng = seeded(seed);
+        let mut demands = Vec::new();
+        let mut t = 0u64;
+        for _ in 0..6 {
+            t += rng.random_range(0..4u64);
+            let weight = 0.2 + 0.8 * rng.random::<f64>();
+            demands.push(WeightedDemand::new(t, rng.random_range(0..4u64), weight));
+        }
+        let inst = CapacitatedOldInstance::new(structure(), 1.0, demands).unwrap();
+        for rule in [BuyRule::Cheapest, BuyRule::BestRate] {
+            let mut handle = EngineHandle::new(FirstFitOnline::new(&inst), structure());
+            handle.submit_batch(inst.online_requests(rule)).unwrap();
+            let mut driver = Driver::new(FirstFitOnline::new(&inst), structure());
+            driver.submit_batch(inst.online_requests(rule)).unwrap();
+            assert_equivalent(handle.ledger(), driver.ledger());
+        }
+    }
+
+    #[test]
+    fn window_paths_are_bit_identical(seed in 0u64..200) {
+        use online_resource_leasing::deadlines::windows::{
+            WindowClient, WindowInstance, WindowPrimalDual,
+        };
+        let mut rng = seeded(seed);
+        let mut clients = Vec::new();
+        let mut t = 0u64;
+        for _ in 0..6 {
+            t += rng.random_range(0..5u64);
+            let client = match rng.random_range(0..3u8) {
+                0 => WindowClient::periodic(t, 1 + rng.random_range(0..6u64), 3),
+                1 => WindowClient::specific(t, vec![t + 1, t + 9]).unwrap(),
+                _ => WindowClient::interval(t, rng.random_range(0..6u64)),
+            };
+            clients.push(client);
+        }
+        let inst = WindowInstance::new(structure(), clients).unwrap();
+        let mut handle = EngineHandle::new(WindowPrimalDual::new(&inst), structure());
+        handle.submit_batch(inst.online_requests()).unwrap();
+        let mut driver = Driver::new(WindowPrimalDual::new(&inst), structure());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
     }
 
     #[test]

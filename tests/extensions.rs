@@ -12,6 +12,7 @@ use online_resource_leasing::deadlines::capacitated::{
 use online_resource_leasing::deadlines::multi_day::{MultiDayClient, MultiDayInstance};
 use online_resource_leasing::deadlines::offline as dl_offline;
 use online_resource_leasing::deadlines::old::{OldClient, OldInstance};
+use online_resource_leasing::engine::Driver;
 use online_resource_leasing::facility::instance::FacilityInstance;
 use online_resource_leasing::facility::metric::Point;
 use online_resource_leasing::facility::offline as fac_offline;
@@ -89,7 +90,9 @@ fn capacitated_greedy_is_sound_on_random_instances() {
         let inst = CapacitatedInstance::uniform(base, 1).unwrap();
         let opt = cap_offline::optimal_cost(&inst, 400_000).expect("small instance");
         for choice in [LeaseChoice::CheapestTotal, LeaseChoice::BestRate] {
-            let cost = CapacitatedGreedy::new(&inst, choice).run();
+            let mut greedy = Driver::new(CapacitatedGreedy::new(&inst, choice), structure());
+            greedy.submit_batch(inst.base.online_requests()).unwrap();
+            let cost = greedy.cost();
             assert!(
                 cost >= opt - 1e-6,
                 "trial {trial} {choice:?}: {cost} < {opt}"
@@ -138,8 +141,11 @@ fn weighted_first_fit_collapses_at_large_capacity() {
         WeightedDemand::new(10, 0, 0.1),
     ];
     let inst = CapacitatedOldInstance::new(structure(), 1000.0, demands).unwrap();
-    let mut alg = FirstFitOnline::new(&inst);
-    let cost = alg.run(BuyRule::Cheapest);
+    let mut driver = Driver::new(FirstFitOnline::new(&inst), structure());
+    driver
+        .submit_batch(inst.online_requests(BuyRule::Cheapest))
+        .unwrap();
+    let cost = driver.cost();
     assert!((cost - 2.0).abs() < 1e-9, "cost {cost}");
 }
 

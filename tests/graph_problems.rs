@@ -5,6 +5,7 @@
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::distributed::{resolve_conflicts, ConflictInstance, MisStrategy};
+use online_resource_leasing::engine::Driver;
 use online_resource_leasing::graph::generators::connected_erdos_renyi;
 use online_resource_leasing::graph::graph::Graph;
 use online_resource_leasing::graph_cover::vertex_cover::{
@@ -33,8 +34,9 @@ fn steiner_on_one_edge_is_parking_permit() {
     let days: Vec<u64> = (0..48).filter(|_| rng.random::<f64>() < 0.4).collect();
     let requests: Vec<PairRequest> = days.iter().map(|&t| PairRequest::new(t, 0, 1)).collect();
     let inst = SteinerInstance::new(g, structure(), requests).unwrap();
-    let mut steiner = SteinerLeasingOnline::new(&inst);
-    let steiner_cost = steiner.run();
+    let mut steiner = Driver::new(SteinerLeasingOnline::new(&inst), structure());
+    steiner.submit_batch(inst.online_requests()).unwrap();
+    let steiner_cost = steiner.cost();
 
     let mut permit = DeterministicPrimalDual::new(inst.scaled_structure(0));
     for &t in &days {
@@ -69,8 +71,9 @@ fn steiner_online_sandwiched_between_opt_and_naive() {
         let Ok(opt) = steiner_ilp::steiner_optimal_cost(&inst, 200, 300_000) else {
             continue; // path explosion: skip this trial
         };
-        let mut online = SteinerLeasingOnline::new(&inst);
-        let online_cost = online.run();
+        let mut online = Driver::new(SteinerLeasingOnline::new(&inst), structure());
+        online.submit_batch(inst.online_requests()).unwrap();
+        let online_cost = online.cost();
         let naive = steiner_offline::buy_per_request(&inst).cost;
         assert!(
             online_cost >= opt - 1e-6,
@@ -101,13 +104,17 @@ fn vertex_cover_direct_vs_reduction() {
         // Direct primal-dual.
         let vc = VcLeasingInstance::unweighted(g.clone(), structure(), arrivals.clone()).unwrap();
         let mut direct = VcPrimalDual::new(&vc);
-        let direct_cost = direct.run();
+        let mut driver = Driver::new(&mut direct, structure());
+        driver.submit_batch(arrivals.iter().copied()).unwrap();
+        let direct_cost = driver.cost();
         assert!(vc_feasible(&vc, direct.purchases()));
 
         // Randomized reduction through set multicover leasing.
         let reduced = vertex_cover_instance(&g, structure(), &arrivals, None).unwrap();
         let mut randomized = SmclOnline::new(&reduced, 4040 + trial);
-        let randomized_cost = randomized.run();
+        let mut driver = Driver::new(&mut randomized, structure());
+        driver.submit_batch(reduced.online_requests()).unwrap();
+        let randomized_cost = driver.cost();
         let owned: std::collections::HashSet<_> = randomized.owned().copied().collect();
         assert!(is_feasible_cover(&reduced, &owned));
 

@@ -9,6 +9,7 @@ use online_resource_leasing::deadlines::old::{OldClient, OldInstance, OldPrimalD
 use online_resource_leasing::deadlines::windows::{
     window_optimal_cost, WindowClient, WindowInstance, WindowPrimalDual,
 };
+use online_resource_leasing::engine::Driver;
 use online_resource_leasing::facility::nagarajan_williamson::NagarajanWilliamson;
 use online_resource_leasing::facility::offline as fac_offline;
 use online_resource_leasing::facility::online::PrimalDualFacility;
@@ -43,8 +44,12 @@ fn prior_work_and_thesis_agree_on_feasible_costs() {
         );
         let opt = fac_offline::optimal_cost(&inst, 100_000)
             .unwrap_or_else(|| fac_offline::lp_lower_bound(&inst));
-        let thesis = PrimalDualFacility::new(&inst).run();
-        let prior = NagarajanWilliamson::new(&inst).run();
+        let mut thesis = Driver::new(PrimalDualFacility::new(&inst), structure.clone());
+        thesis.submit_batch(inst.online_requests()).unwrap();
+        let thesis = thesis.cost();
+        let mut prior = Driver::new(NagarajanWilliamson::new(&inst), structure.clone());
+        prior.submit_batch(inst.online_requests()).unwrap();
+        let prior = prior.cost();
         assert!(
             thesis >= opt - 1e-6,
             "thesis {thesis} below opt {opt} (seed {seed})"
@@ -91,8 +96,12 @@ fn window_model_collapses_to_old_on_intervals() {
             "optima diverge at seed {seed}"
         );
         // Both online algorithms serve everything and stay above opt.
-        let o_cost = OldPrimalDual::new(&o_inst).run();
-        let w_cost = WindowPrimalDual::new(&w_inst).run();
+        let mut old = Driver::new(OldPrimalDual::new(&o_inst), lease_structure());
+        old.submit_batch(o_inst.online_requests()).unwrap();
+        let o_cost = old.cost();
+        let mut window = Driver::new(WindowPrimalDual::new(&w_inst), lease_structure());
+        window.submit_batch(w_inst.online_requests()).unwrap();
+        let w_cost = window.cost();
         assert!(o_cost >= o_opt - 1e-9);
         assert!(w_cost >= w_opt - 1e-9);
     }

@@ -7,6 +7,7 @@ use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::deadlines::offline as dl_offline;
 use online_resource_leasing::deadlines::old::{OldClient, OldInstance, OldPrimalDual};
 use online_resource_leasing::deadlines::scld::{ScldArrival, ScldInstance};
+use online_resource_leasing::engine::Driver;
 use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
 use online_resource_leasing::parking_permit::{offline as pp_offline, PermitOnline};
 use online_resource_leasing::set_cover::instance::{Arrival, SmclInstance};
@@ -39,8 +40,9 @@ fn old_with_zero_slack_equals_parking_permit() {
         }
         let clients: Vec<OldClient> = days.iter().map(|&t| OldClient::new(t, 0)).collect();
         let old_inst = OldInstance::new(structure(), clients).unwrap();
-        let mut old = OldPrimalDual::new(&old_inst);
-        let old_cost = old.run();
+        let mut old = Driver::new(OldPrimalDual::new(&old_inst), structure());
+        old.submit_batch(old_inst.online_requests()).unwrap();
+        let old_cost = old.cost();
         assert!(
             (old_cost - PermitOnline::total_cost(&permit)).abs() < 1e-9,
             "trial {trial}: OLD {} vs permit {}",
