@@ -27,8 +27,8 @@ use online_covering::{
     GenericDeterministicPermit, GenericOld, GenericParkingPermit, GenericScld, GenericSmcl,
 };
 use parking_permit::det::DeterministicPrimalDual;
+use parking_permit::offline;
 use parking_permit::rand_alg::RandomizedPermit;
-use parking_permit::{offline, PermitOnline};
 use rand::RngExt;
 use set_cover_leasing::instance::SmclInstance;
 use set_cover_leasing::offline as sc_offline;
@@ -66,13 +66,15 @@ fn main() {
             let days = rainy_days(&mut rng, 96, 0.4).expect("valid parameters");
             let tau = seeded(seed + 1).random::<f64>().max(1e-6);
             let mut spec = Driver::new(RandomizedPermit::with_threshold(s.clone(), tau), s.clone());
-            let mut gen = GenericParkingPermit::with_threshold(s.clone(), tau);
+            let mut gen = Driver::new(
+                GenericParkingPermit::with_threshold(s.clone(), tau),
+                s.clone(),
+            );
             spec.submit_batch(days.iter().map(|&t| (t, ())))
                 .expect("sorted demand days");
-            for &t in &days {
-                gen.serve_demand(t);
-            }
-            let (a, b) = (spec.cost(), PermitOnline::total_cost(&gen));
+            gen.submit_batch(days.iter().map(|&t| (t, ())))
+                .expect("sorted demand days");
+            let (a, b) = (spec.cost(), gen.cost());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;
@@ -166,13 +168,12 @@ fn main() {
             let mut rng = seeded(SEED ^ (seed * 5 + 3));
             let days = rainy_days(&mut rng, 96, 0.4).expect("valid parameters");
             let mut spec = Driver::new(DeterministicPrimalDual::new(s.clone()), s.clone());
-            let mut gen = GenericDeterministicPermit::new(s.clone());
+            let mut gen = Driver::new(GenericDeterministicPermit::new(s.clone()), s.clone());
             spec.submit_batch(days.iter().map(|&t| (t, ())))
                 .expect("sorted demand days");
-            for &t in &days {
-                gen.serve_demand(t);
-            }
-            let (a, b) = (spec.cost(), PermitOnline::total_cost(&gen));
+            gen.submit_batch(days.iter().map(|&t| (t, ())))
+                .expect("sorted demand days");
+            let (a, b) = (spec.cost(), gen.cost());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;
@@ -239,12 +240,11 @@ fn main() {
                 continue;
             }
             let opt = offline::optimal_cost_interval_model(&s, &days);
-            let mut alg = GenericParkingPermit::new(s.clone(), &mut rng);
-            for &t in &days {
-                alg.serve_demand(t);
-            }
-            let cost = PermitOnline::total_cost(&alg);
-            let cert = alg.certificate();
+            let mut alg = Driver::new(GenericParkingPermit::new(s.clone(), &mut rng), s.clone());
+            alg.submit_batch(days.iter().map(|&t| (t, ())))
+                .expect("sorted demand days");
+            let cost = alg.cost();
+            let cert = alg.algorithm().certificate();
             true_ratio += cost / opt;
             certified_ratio += cost / cert.lower_bound.max(1e-12);
             tightness += cert.lower_bound / opt;

@@ -108,10 +108,11 @@ fn main() {
             let permit_inst = PermitInstance::new(structure.clone(), days.clone());
             for s in 0..4u64 {
                 rand_stats.push(randomized_old(&inst, SEED + 977 * t + s).cost / opt);
-                let mut mey =
-                    RandomizedPermit::new(structure.clone(), &mut seeded(SEED + 57 * t + s));
-                permit_inst.run(&mut mey);
-                meyerson_stats.push(mey.total_cost() / opt);
+                let mey = RandomizedPermit::new(structure.clone(), &mut seeded(SEED + 57 * t + s));
+                let mut mey = Driver::new(mey, structure.clone());
+                mey.submit_batch(permit_inst.demands.iter().map(|&d| (d, ())))
+                    .expect("sorted demand days");
+                meyerson_stats.push(mey.cost() / opt);
             }
         }
         table::row(

@@ -33,11 +33,10 @@ pub struct Books<'a> {
 }
 
 impl<'a> Books<'a> {
-    /// Opens the books over `ledger`.
-    ///
-    /// Normally called by the [`Driver`](super::Driver); legacy entry
-    /// points that still own a private ledger wrap it the same way.
-    pub fn new(ledger: &'a mut Ledger) -> Self {
+    /// Opens the books over `ledger`. Only the [`Driver`](super::Driver)
+    /// does this, so the driver's ledger is the only set of books an
+    /// algorithm can record into.
+    pub(crate) fn new(ledger: &'a mut Ledger) -> Self {
         Books { ledger }
     }
 

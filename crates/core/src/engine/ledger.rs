@@ -137,11 +137,12 @@ pub const CATEGORY_CONNECTION: &str = "connection";
 /// timeline of active-lease expiries.
 ///
 /// A ledger is owned by a [`Driver`](super::Driver), the only thing that
-/// advances time for an online algorithm. The one exception is the
-/// parking-permit `PermitOnline` composition interface, whose algorithms
-/// keep a private ledger so per-edge and combined permits can be served
-/// directly. Long-lived workers can recycle one ledger across runs with
-/// [`Ledger::reset`], which keeps every allocation.
+/// advances time for an online algorithm and the only thing that opens
+/// [`Books`](super::Books) over it — composite algorithms hand those same
+/// books to their subroutines (per-edge or per-facility parking permits)
+/// instead of keeping a second ledger. Long-lived workers can recycle one
+/// ledger across runs with [`Ledger::reset`], which keeps every
+/// allocation.
 #[derive(Clone, Debug, Default)]
 pub struct Ledger {
     structure: Option<LeaseStructure>,

@@ -17,6 +17,7 @@ use crate::dual_ascent::DualAscent;
 use crate::engine::{CoveringEngine, EngineStats};
 use crate::fractional::{DualCertificate, FractionalCovering};
 use crate::rounding::suffix_crossing;
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::{aligned_start, candidates_covering, candidates_intersecting};
 use leasing_core::lease::{Lease, LeaseStructure};
@@ -25,7 +26,7 @@ use leasing_core::time::TimeStep;
 use leasing_core::EPS;
 use leasing_deadlines::old::{OldClient, OldInstance};
 use leasing_deadlines::scld::{ScldArrival, ScldInstance};
-use parking_permit::PermitOnline;
+use parking_permit::PERMIT_ELEMENT;
 use rand::{Rng, RngExt};
 use set_cover_leasing::instance::SmclInstance;
 use std::collections::HashSet;
@@ -42,9 +43,7 @@ pub struct GenericParkingPermit {
     structure: LeaseStructure,
     fractional: FractionalCovering<Lease>,
     tau: f64,
-    owned: HashSet<Lease>,
     purchases: Vec<Lease>,
-    cost: f64,
 }
 
 impl GenericParkingPermit {
@@ -66,9 +65,7 @@ impl GenericParkingPermit {
             structure,
             fractional: FractionalCovering::new(),
             tau,
-            owned: HashSet::new(),
             purchases: Vec::new(),
-            cost: 0.0,
         }
     }
 
@@ -94,8 +91,10 @@ impl GenericParkingPermit {
     }
 }
 
-impl PermitOnline for GenericParkingPermit {
-    fn serve_demand(&mut self, t: TimeStep) {
+impl LeasingAlgorithm for GenericParkingPermit {
+    type Request = ();
+
+    fn on_request(&mut self, t: TimeStep, _request: (), mut books: Books<'_>) {
         let candidates: Vec<(Lease, f64)> = candidates_covering(&self.structure, t)
             .into_iter()
             .map(|l| (l, l.cost(&self.structure)))
@@ -107,21 +106,12 @@ impl PermitOnline for GenericParkingPermit {
             .map(|&(l, _)| (l, self.fractional.fraction(&l)))
             .collect();
         let lease = suffix_crossing(&fractions, self.tau).unwrap_or(candidates[0].0);
-        if self.owned.insert(lease) {
-            self.cost += lease.cost(&self.structure);
+        let triple = Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start);
+        if !books.owns(triple) {
+            books.buy_priced(t, triple, lease.cost(&self.structure), CATEGORY_LEASE);
             self.purchases.push(lease);
         }
-        debug_assert!(self.is_covered(t));
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        candidates_covering(&self.structure, t)
-            .into_iter()
-            .any(|c| self.owned.contains(&c))
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.cost
+        debug_assert!(books.covered(PERMIT_ELEMENT, t));
     }
 }
 
@@ -320,23 +310,22 @@ impl<'a> GenericScld<'a> {
 /// [`DeterministicPrimalDual`](parking_permit::det::DeterministicPrimalDual).
 ///
 /// ```
+/// use leasing_core::engine::Driver;
 /// use leasing_core::lease::{LeaseStructure, LeaseType};
 /// use online_covering::GenericDeterministicPermit;
-/// use parking_permit::PermitOnline;
+/// use parking_permit::PERMIT_ELEMENT;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let permits = LeaseStructure::new(vec![
 ///     LeaseType::new(1, 1.0),
 ///     LeaseType::new(4, 3.0),
 /// ])?;
-/// let mut alg = GenericDeterministicPermit::new(permits);
-/// for day in [0u64, 1, 2, 3] {
-///     alg.serve_demand(day);
-/// }
-/// assert!(alg.is_covered(3));
+/// let mut alg = Driver::new(GenericDeterministicPermit::new(permits.clone()), permits);
+/// alg.submit_batch([0u64, 1, 2, 3].map(|day| (day, ())))?;
+/// assert!(alg.ledger().covered(PERMIT_ELEMENT, 3));
 /// // Weak duality: the raised dual lower-bounds the optimum; Theorem 2.7
 /// // bounds the cost by K times that.
-/// assert!(PermitOnline::total_cost(&alg) <= 2.0 * alg.dual_value());
+/// assert!(alg.cost() <= 2.0 * alg.algorithm().dual_value());
 /// # Ok(())
 /// # }
 /// ```
@@ -372,27 +361,22 @@ impl GenericDeterministicPermit {
     }
 }
 
-impl PermitOnline for GenericDeterministicPermit {
-    fn serve_demand(&mut self, t: TimeStep) {
-        if self.is_covered(t) {
+impl LeasingAlgorithm for GenericDeterministicPermit {
+    type Request = ();
+
+    fn on_request(&mut self, t: TimeStep, _request: (), mut books: Books<'_>) {
+        if books.covered(PERMIT_ELEMENT, t) {
             return;
         }
         let candidates: Vec<(Lease, f64)> = candidates_covering(&self.structure, t)
             .into_iter()
             .map(|l| (l, l.cost(&self.structure)))
             .collect();
-        let bought = self.engine.serve(&candidates);
-        debug_assert!(!bought.is_empty() || self.is_covered(t));
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        candidates_covering(&self.structure, t)
-            .into_iter()
-            .any(|c| self.engine.owns(&c))
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.engine.total_cost()
+        for lease in self.engine.serve(&candidates) {
+            let triple = Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start);
+            books.buy_priced(t, triple, lease.cost(&self.structure), CATEGORY_LEASE);
+        }
+        debug_assert!(books.covered(PERMIT_ELEMENT, t));
     }
 }
 
@@ -519,6 +503,11 @@ mod tests {
     use set_cover_leasing::online::{is_feasible_cover, SmclOnline};
     use set_cover_leasing::system::SetSystem;
 
+    /// A driver over `alg`, pricing with [`structure`].
+    fn drive<A: LeasingAlgorithm<Request = ()>>(alg: A) -> Driver<A> {
+        Driver::new(alg, structure())
+    }
+
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![
             LeaseType::new(1, 1.0),
@@ -537,25 +526,30 @@ mod tests {
         let demands: Vec<u64> = vec![0, 1, 5, 6, 7, 20, 40, 41, 64, 65];
         for pct in 1..=10 {
             let tau = pct as f64 / 10.0;
-            let mut spec = RandomizedPermit::with_threshold(structure(), tau);
-            let mut gen = GenericParkingPermit::with_threshold(structure(), tau);
+            let mut spec = drive(RandomizedPermit::with_threshold(structure(), tau));
+            let mut gen = drive(GenericParkingPermit::with_threshold(structure(), tau));
             for &t in &demands {
-                spec.serve_demand(t);
-                gen.serve_demand(t);
+                spec.submit(t, ()).unwrap();
+                gen.submit(t, ()).unwrap();
             }
             assert_eq!(
-                PermitOnline::total_cost(&spec).to_bits(),
-                PermitOnline::total_cost(&gen).to_bits(),
+                spec.cost().to_bits(),
+                gen.cost().to_bits(),
                 "tau {tau}: integral costs diverge"
             );
             assert_eq!(
-                spec.purchases(),
-                gen.purchases(),
+                spec.ledger().decisions(),
+                gen.ledger().decisions(),
+                "tau {tau}: decisions diverge"
+            );
+            assert_eq!(
+                spec.algorithm().purchases(),
+                gen.algorithm().purchases(),
                 "tau {tau}: purchases diverge"
             );
             assert_eq!(
-                spec.fractional_cost().to_bits(),
-                gen.fractional_cost().to_bits(),
+                spec.algorithm().fractional_cost().to_bits(),
+                gen.algorithm().fractional_cost().to_bits(),
                 "tau {tau}: fractional costs diverge"
             );
         }
@@ -565,16 +559,14 @@ mod tests {
     fn parking_permit_adapter_same_rng_draws_same_tau() {
         let mut r1 = seeded(9);
         let mut r2 = seeded(9);
-        let mut spec = RandomizedPermit::new(structure(), &mut r1);
-        let mut gen = GenericParkingPermit::new(structure(), &mut r2);
+        let mut spec = drive(RandomizedPermit::new(structure(), &mut r1));
+        let mut gen = drive(GenericParkingPermit::new(structure(), &mut r2));
         for t in [0u64, 2, 3, 17] {
-            spec.serve_demand(t);
-            gen.serve_demand(t);
+            spec.submit(t, ()).unwrap();
+            gen.submit(t, ()).unwrap();
         }
-        assert_eq!(
-            PermitOnline::total_cost(&spec).to_bits(),
-            PermitOnline::total_cost(&gen).to_bits()
-        );
+        assert_eq!(spec.cost().to_bits(), gen.cost().to_bits());
+        assert_eq!(spec.ledger().decisions(), gen.ledger().decisions());
     }
 
     #[test]
@@ -677,19 +669,20 @@ mod tests {
     fn deterministic_permit_adapter_is_bit_equal_to_algorithm_1() {
         use parking_permit::det::DeterministicPrimalDual;
         let demands: Vec<u64> = vec![0, 1, 2, 5, 6, 7, 20, 40, 41, 64, 65, 80];
-        let mut spec = DeterministicPrimalDual::new(structure());
-        let mut gen = GenericDeterministicPermit::new(structure());
+        let mut spec = drive(DeterministicPrimalDual::new(structure()));
+        let mut gen = drive(GenericDeterministicPermit::new(structure()));
         for &t in &demands {
-            spec.serve_demand(t);
-            gen.serve_demand(t);
-            assert!(gen.is_covered(t));
+            spec.submit(t, ()).unwrap();
+            gen.submit(t, ()).unwrap();
+            assert!(gen.ledger().covered(PERMIT_ELEMENT, t));
         }
+        assert_eq!(spec.cost().to_bits(), gen.cost().to_bits());
+        assert_eq!(spec.ledger().decisions(), gen.ledger().decisions());
+        assert_eq!(spec.algorithm().purchases(), gen.algorithm().purchases());
         assert_eq!(
-            PermitOnline::total_cost(&spec).to_bits(),
-            PermitOnline::total_cost(&gen).to_bits()
+            spec.algorithm().dual_value().to_bits(),
+            gen.algorithm().dual_value().to_bits()
         );
-        assert_eq!(spec.purchases(), gen.purchases());
-        assert_eq!(spec.dual_value().to_bits(), gen.dual_value().to_bits());
     }
 
     #[test]
@@ -727,14 +720,11 @@ mod tests {
         let inst = OldInstance::new(structure(), clients).expect("sorted clients");
         let mut old = GenericOld::new(&inst);
         let old_cost = old.run();
-        let mut permit = GenericDeterministicPermit::new(structure());
+        let mut permit = drive(GenericDeterministicPermit::new(structure()));
         for &t in &days {
-            permit.serve_demand(t);
+            permit.submit(t, ()).unwrap();
         }
-        assert_eq!(
-            old_cost.to_bits(),
-            PermitOnline::total_cost(&permit).to_bits()
-        );
+        assert_eq!(old_cost.to_bits(), permit.cost().to_bits());
     }
 
     #[test]
@@ -744,11 +734,11 @@ mod tests {
         let s = structure();
         let demands: Vec<u64> = (0..16).chain(40..44).collect();
         let opt = parking_permit::offline::optimal_cost_interval_model(&s, &demands);
-        let mut gen = GenericParkingPermit::with_threshold(s, 0.5);
+        let mut gen = drive(GenericParkingPermit::with_threshold(s, 0.5));
         for &t in &demands {
-            gen.serve_demand(t);
+            gen.submit(t, ()).unwrap();
         }
-        let cert = gen.certificate();
+        let cert = gen.algorithm().certificate();
         assert!(
             cert.lower_bound <= opt + 1e-9,
             "certificate {} exceeds DP optimum {opt}",

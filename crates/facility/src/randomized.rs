@@ -12,8 +12,7 @@
 //! algorithm and against exact optima on small instances.
 
 use crate::instance::FacilityInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGORY_LEASE};
-use leasing_core::framework::Triple;
+use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::time::TimeStep;
 use parking_permit::rand_alg::RandomizedPermit;
@@ -22,13 +21,14 @@ use rand::Rng;
 
 /// Randomized facility leasing: myopic assignment + per-facility randomized
 /// permits.
+///
+/// Facility `i`'s permit records its leases straight into the driver's
+/// books as element `i`, so whether a facility is open at `t` is
+/// `driver.ledger().covered(i, t)`.
 #[derive(Clone, Debug)]
 pub struct RandomizedFacility<'a> {
     instance: &'a FacilityInstance,
     permits: Vec<RandomizedPermit>,
-    /// How many purchases of each facility's permit have been mirrored
-    /// into the ledger.
-    mirrored: Vec<usize>,
     /// `(client, facility)` assignments in service order.
     assignments: Vec<(usize, usize)>,
 }
@@ -50,22 +50,19 @@ impl<'a> RandomizedFacility<'a> {
                 RandomizedPermit::new(s, rng)
             })
             .collect();
-        let mirrored = vec![0; instance.num_facilities()];
         RandomizedFacility {
             instance,
             permits,
-            mirrored,
             assignments: Vec::new(),
         }
     }
 
     /// Core assignment + per-facility permit step, recording purchases and
-    /// connection charges into `ledger`.
+    /// connection charges into `books`.
     ///
-    /// Facility activity is read from the ledger's coverage index — the
-    /// per-facility permits are consulted only to decide *which* lease to
-    /// buy, and every permit purchase is mirrored into the ledger
-    /// immediately, so the two views never diverge.
+    /// Facility activity is read from the books' coverage index — the
+    /// per-facility permits only decide *which* lease to buy, and buy it
+    /// into the same books at the facility's prices.
     fn serve_with(&mut self, t: TimeStep, clients: &[usize], books: &mut Books<'_>) {
         let inst = self.instance;
         for &j in clients {
@@ -86,34 +83,11 @@ impl<'a> RandomizedFacility<'a> {
             }
             let (_, i) = best.expect("validated instances have facilities");
             if !books.covered(i, t) {
-                self.permits[i].serve_demand(t);
-                self.mirror_purchases(t, i, books);
+                self.permits[i].serve(t, i, books);
             }
             books.charge(t, i, inst.distance(i, j), CATEGORY_CONNECTION);
             self.assignments.push((j, i));
         }
-    }
-
-    /// Copies the permit subroutine's new purchases into the ledger at
-    /// their per-facility scaled prices.
-    fn mirror_purchases(&mut self, t: TimeStep, i: usize, books: &mut Books<'_>) {
-        let permit = &self.permits[i];
-        let fresh = &permit.purchases()[self.mirrored[i]..];
-        for lease in fresh {
-            let cost = permit.structure().cost(lease.type_index);
-            books.buy_priced(
-                t,
-                Triple::new(i, lease.type_index, lease.start),
-                cost,
-                CATEGORY_LEASE,
-            );
-        }
-        self.mirrored[i] = permit.purchases().len();
-    }
-
-    /// Whether facility `i` holds an active lease at time `t`.
-    pub fn is_active(&self, i: usize, t: TimeStep) -> bool {
-        self.permits[i].is_covered(t)
     }
 
     /// `(client, facility)` assignments in service order.
@@ -121,9 +95,9 @@ impl<'a> RandomizedFacility<'a> {
         &self.assignments
     }
 
-    /// Whether every client was assigned to a facility active at the
-    /// client's arrival time.
-    pub fn is_feasible(&self) -> bool {
+    /// Whether every client was assigned to a facility active in `ledger`
+    /// (the driver's) at the client's arrival time.
+    pub fn is_feasible(&self, ledger: &Ledger) -> bool {
         let mut assigned = vec![None; self.instance.num_clients()];
         for &(j, i) in &self.assignments {
             assigned[j] = Some(i);
@@ -131,7 +105,7 @@ impl<'a> RandomizedFacility<'a> {
         self.instance.batches().iter().all(|b| {
             b.clients
                 .iter()
-                .all(|&j| assigned[j].is_some_and(|i| self.permits[i].is_covered(b.time)))
+                .all(|&j| assigned[j].is_some_and(|i| ledger.covered(i, b.time)))
         })
     }
 }
@@ -188,11 +162,11 @@ mod tests {
             (11, vec![Point::new(4.1, 0.0)]),
         ]);
         let mut rng = seeded(5);
-        let mut alg = RandomizedFacility::new(&inst, &mut rng);
-        let cost = driven_cost(&mut alg, &inst);
-        assert!(cost > 0.0);
-        assert!(alg.is_feasible());
-        assert_eq!(alg.assignments().len(), 4);
+        let mut driver = Driver::new(RandomizedFacility::new(&inst, &mut rng), structure());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        assert!(driver.cost() > 0.0);
+        assert!(driver.algorithm().is_feasible(driver.ledger()));
+        assert_eq!(driver.algorithm().assignments().len(), 4);
     }
 
     #[test]

@@ -80,8 +80,9 @@ proptest! {
         let pd = drive(PrimalDualFacility::new(&inst), &inst).total_cost();
         let greedy = GreedyLease::new(&inst).run();
         let mut rnd_alg = RandomizedFacility::new(&inst, &mut seeded(rng_seed));
-        let rnd = drive(&mut rnd_alg, &inst).total_cost();
-        prop_assert!(rnd_alg.is_feasible());
+        let rnd_ledger = drive(&mut rnd_alg, &inst);
+        let rnd = rnd_ledger.total_cost();
+        prop_assert!(rnd_alg.is_feasible(&rnd_ledger));
         for (name, cost) in [("pd", pd), ("greedy", greedy), ("rnd", rnd)] {
             prop_assert!(cost >= lb - 1e-6, "{name} cost {cost} below LP bound {lb}");
         }

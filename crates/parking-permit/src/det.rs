@@ -7,8 +7,8 @@
 //! `K` times the dual value and yields the `O(K)` competitive ratio of
 //! Theorem 2.7.
 
-use crate::{PermitOnline, PurchaseLog, PERMIT_ELEMENT};
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
+use crate::{PermitOnline, PERMIT_ELEMENT};
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::lease::{Lease, LeaseStructure};
@@ -18,9 +18,10 @@ use leasing_core::EPS;
 /// Deterministic primal-dual parking-permit algorithm over aligned
 /// (interval-model) leases.
 ///
-/// Coverage and ownership are queried from the ledger's coverage index
-/// ([`Ledger::covered`]/[`Ledger::owns`]) — the algorithm keeps no private
-/// active-lease table.
+/// Coverage and ownership are queried from the books' coverage index
+/// ([`Ledger::covered`](leasing_core::engine::Ledger::covered)/
+/// [`Ledger::owns`](leasing_core::engine::Ledger::owns)) — the algorithm
+/// keeps no private active-lease table.
 #[derive(Clone, Debug)]
 pub struct DeterministicPrimalDual {
     structure: LeaseStructure,
@@ -37,9 +38,6 @@ pub struct DeterministicPrimalDual {
     dual_value: f64,
     /// Purchase log in buy order.
     purchases: Vec<Lease>,
-    /// Decision ledger backing the [`PermitOnline`] composition interface;
-    /// the single source of truth for cost on that path.
-    ledger: Ledger,
 }
 
 impl DeterministicPrimalDual {
@@ -50,7 +48,6 @@ impl DeterministicPrimalDual {
     /// 2.5. Lengths need not be powers of two; alignment alone guarantees
     /// the "exactly `K` candidates per day" property the analysis needs.
     pub fn new(structure: LeaseStructure) -> Self {
-        let ledger = Ledger::new(structure.clone());
         // Sentinel start: no aligned window starts at `u64::MAX`.
         let contributions = vec![(TimeStep::MAX, 0.0); structure.num_types()];
         DeterministicPrimalDual {
@@ -58,13 +55,30 @@ impl DeterministicPrimalDual {
             contributions,
             dual_value: 0.0,
             purchases: Vec::new(),
-            ledger,
         }
     }
 
-    /// Core primal-dual step, recording purchases into the books.
-    fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
-        if books.covered(PERMIT_ELEMENT, t) {
+    /// The permit structure this algorithm leases from.
+    pub fn structure(&self) -> &LeaseStructure {
+        &self.structure
+    }
+
+    /// The leases bought so far, in purchase order.
+    pub fn purchases(&self) -> &[Lease] {
+        &self.purchases
+    }
+
+    /// Total dual value `Σ_t y_t` raised so far. By weak duality this is a
+    /// lower bound on the cost of an optimal interval-model solution.
+    pub fn dual_value(&self) -> f64 {
+        self.dual_value
+    }
+}
+
+impl PermitOnline for DeterministicPrimalDual {
+    /// The primal-dual step for one demand of `element`.
+    fn serve(&mut self, t: TimeStep, element: usize, books: &mut Books<'_>) {
+        if books.covered(element, t) {
             return;
         }
         // Slide each type's accumulator to the aligned window containing
@@ -83,44 +97,16 @@ impl DeterministicPrimalDual {
         self.dual_value += delta;
         for (k, slot) in self.contributions.iter_mut().enumerate() {
             slot.1 += delta;
-            let triple = Triple::new(PERMIT_ELEMENT, k, slot.0);
+            let triple = Triple::new(element, k, slot.0);
             if slot.1 >= structure.cost(k) - EPS && !books.owns(triple) {
-                books.buy(t, triple);
+                books.buy_priced(t, triple, structure.cost(k), CATEGORY_LEASE);
                 self.purchases.push(Lease::new(k, slot.0));
             }
         }
         debug_assert!(
-            books.covered(PERMIT_ELEMENT, t),
+            books.covered(element, t),
             "primal-dual step must cover the demand"
         );
-    }
-
-    /// The permit structure this algorithm leases from.
-    pub fn structure(&self) -> &LeaseStructure {
-        &self.structure
-    }
-
-    /// The leases bought so far, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
-    }
-
-    /// Total dual value `Σ_t y_t` raised so far. By weak duality this is a
-    /// lower bound on the cost of an optimal interval-model solution.
-    pub fn dual_value(&self) -> f64 {
-        self.dual_value
-    }
-
-    /// Total primal cost paid so far through [`PermitOnline::serve_demand`]
-    /// (inherent mirror of [`PermitOnline::total_cost`], so callers need
-    /// not import the trait).
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The ledger behind [`PermitOnline::serve_demand`].
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 }
 
@@ -128,30 +114,7 @@ impl LeasingAlgorithm for DeterministicPrimalDual {
     type Request = ();
 
     fn on_request(&mut self, time: TimeStep, _request: (), mut books: Books<'_>) {
-        self.serve_with(time, &mut books);
-    }
-}
-
-impl PurchaseLog for DeterministicPrimalDual {
-    fn purchases(&self) -> &[Lease] {
-        &self.purchases
-    }
-}
-
-impl PermitOnline for DeterministicPrimalDual {
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
+        self.serve(time, PERMIT_ELEMENT, &mut books);
     }
 }
 
@@ -159,9 +122,15 @@ impl PermitOnline for DeterministicPrimalDual {
 mod tests {
     use super::*;
     use crate::offline;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
     use rand::RngExt;
+
+    /// A driver over the primal-dual algorithm for `s`.
+    fn permit(s: LeaseStructure) -> Driver<DeterministicPrimalDual> {
+        Driver::new(DeterministicPrimalDual::new(s.clone()), s)
+    }
 
     fn two_type() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(1, 1.0), LeaseType::new(4, 3.0)]).unwrap()
@@ -169,37 +138,42 @@ mod tests {
 
     #[test]
     fn single_demand_buys_cheapest_tight_candidate() {
-        let mut alg = DeterministicPrimalDual::new(two_type());
-        alg.serve_demand(5);
+        let mut driver = permit(two_type());
+        driver.submit(5, ()).unwrap();
         // y = 1 makes the day lease tight first; only it is bought.
-        assert_eq!(alg.purchases(), &[Lease::new(0, 5)]);
-        assert!((alg.total_cost() - 1.0).abs() < 1e-9);
-        assert!((alg.dual_value() - 1.0).abs() < 1e-9);
+        assert_eq!(driver.algorithm().purchases(), &[Lease::new(0, 5)]);
+        assert!((driver.cost() - 1.0).abs() < 1e-9);
+        assert!((driver.algorithm().dual_value() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn repeated_demands_in_same_window_trigger_longer_lease() {
-        let mut alg = DeterministicPrimalDual::new(two_type());
+        let mut driver = permit(two_type());
         // Days 0..3 all live in the aligned window [0,4) of the long lease.
         for t in 0..4 {
-            alg.serve_demand(t);
+            driver.submit(t, ()).unwrap();
         }
         // Day 0: y=1, buy day lease (long gets 1). Day 1: y=1, buy day lease
         // (long gets 2). Day 2: y=1 makes long tight as well -> buy day + long.
         // Day 3: covered by the long lease, no purchase.
-        assert!(alg.is_covered(3));
-        let bought_types: Vec<usize> = alg.purchases().iter().map(|l| l.type_index).collect();
+        assert!(driver.ledger().covered(PERMIT_ELEMENT, 3));
+        let bought_types: Vec<usize> = driver
+            .algorithm()
+            .purchases()
+            .iter()
+            .map(|l| l.type_index)
+            .collect();
         assert_eq!(bought_types, vec![0, 0, 0, 1]);
-        assert!((alg.total_cost() - 6.0).abs() < 1e-9);
+        assert!((driver.cost() - 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn covered_demand_is_free() {
-        let mut alg = DeterministicPrimalDual::new(two_type());
-        alg.serve_demand(0);
-        let cost = alg.total_cost();
-        alg.serve_demand(0);
-        assert_eq!(alg.total_cost(), cost);
+        let mut driver = permit(two_type());
+        driver.submit(0, ()).unwrap();
+        let cost = driver.cost();
+        driver.submit(0, ()).unwrap();
+        assert_eq!(driver.cost(), cost);
     }
 
     #[test]
@@ -219,23 +193,23 @@ mod tests {
                 }
                 d
             };
-            let mut alg = DeterministicPrimalDual::new(s.clone());
+            let mut driver = permit(s.clone());
             for &t in &demands {
-                alg.serve_demand(t);
+                driver.submit(t, ()).unwrap();
             }
             let opt = offline::optimal_cost_interval_model(&s, &demands);
             assert!(
-                alg.dual_value() <= opt + 1e-6,
+                driver.algorithm().dual_value() <= opt + 1e-6,
                 "dual {} must lower-bound opt {}",
-                alg.dual_value(),
+                driver.algorithm().dual_value(),
                 opt
             );
             // Theorem 2.7: primal <= K * dual.
             assert!(
-                alg.total_cost() <= s.num_types() as f64 * alg.dual_value() + 1e-6,
+                driver.cost() <= s.num_types() as f64 * driver.algorithm().dual_value() + 1e-6,
                 "primal {} vs K*dual {}",
-                alg.total_cost(),
-                s.num_types() as f64 * alg.dual_value()
+                driver.cost(),
+                s.num_types() as f64 * driver.algorithm().dual_value()
             );
         }
     }
@@ -256,15 +230,15 @@ mod tests {
             if demands.is_empty() {
                 continue;
             }
-            let mut alg = DeterministicPrimalDual::new(s.clone());
+            let mut driver = permit(s.clone());
             for &t in &demands {
-                alg.serve_demand(t);
+                driver.submit(t, ()).unwrap();
             }
             let opt = offline::optimal_cost_interval_model(&s, &demands);
             assert!(
-                alg.total_cost() <= k * opt + 1e-6,
+                driver.cost() <= k * opt + 1e-6,
                 "trial {trial}: alg {} opt {opt}",
-                alg.total_cost()
+                driver.cost()
             );
         }
     }

@@ -24,22 +24,21 @@
 //! # Example
 //!
 //! ```
+//! use leasing_core::engine::Driver;
 //! use leasing_core::lease::{LeaseStructure, LeaseType};
-//! use parking_permit::{det::DeterministicPrimalDual, offline, PermitOnline};
+//! use parking_permit::{det::DeterministicPrimalDual, offline};
 //!
-//! # fn main() -> Result<(), leasing_core::lease::LeaseStructureError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let permits = LeaseStructure::new(vec![
 //!     LeaseType::new(1, 1.0),
 //!     LeaseType::new(4, 3.0),
 //! ])?;
-//! let mut alg = DeterministicPrimalDual::new(permits.clone());
-//! for day in [0u64, 1, 2, 3] {
-//!     alg.serve_demand(day);
-//! }
+//! let mut driver = Driver::new(DeterministicPrimalDual::new(permits.clone()), permits.clone());
+//! driver.submit_batch([0u64, 1, 2, 3].map(|day| (day, ())))?;
 //! // Four consecutive rainy days: the optimum is a single 4-day permit.
 //! let opt = offline::optimal_cost_interval_model(&permits, &[0, 1, 2, 3]);
 //! assert!((opt - 3.0).abs() < 1e-9);
-//! assert!(alg.total_cost() <= 2.0 * opt * 2.0); // well within the O(K) bound
+//! assert!(driver.cost() <= 2.0 * opt * 2.0); // well within the O(K) bound
 //! # Ok(())
 //! # }
 //! ```
@@ -50,6 +49,7 @@ pub mod ilp;
 pub mod offline;
 pub mod rand_alg;
 
+use leasing_core::engine::Books;
 use leasing_core::time::TimeStep;
 
 /// The single infrastructure element of the parking permit problem (there
@@ -57,32 +57,18 @@ use leasing_core::time::TimeStep;
 /// decisions recorded by the permit algorithms.
 pub const PERMIT_ELEMENT: usize = 0;
 
-/// Access to the ordered purchase log of a permit algorithm — the hook
-/// composite algorithms (e.g. Steiner leasing's per-edge permits) use to
-/// mirror subroutine purchases into their own
-/// [`Ledger`](leasing_core::engine::Ledger).
-pub trait PurchaseLog {
-    /// Leases bought so far, in purchase order.
-    fn purchases(&self) -> &[leasing_core::lease::Lease];
-}
-
-/// Common interface of the online parking-permit algorithms, rich enough for
-/// the adaptive adversary of Theorem 2.8 (which must observe coverage).
-///
-/// This is the legacy entry point kept for the adversary and the
-/// prediction-policy combiners; new drivers should use
-/// [`LeasingAlgorithm`](leasing_core::engine::LeasingAlgorithm) through a
-/// [`Driver`](leasing_core::engine::Driver) instead.
+/// A parking-permit algorithm used as a *subroutine* of a composite one:
+/// Steiner leasing runs one per edge (§5.1) and the randomized facility
+/// algorithm one per facility. Each call serves one demand of one
+/// infrastructure element and records the purchases straight into the
+/// composite's [`Books`], as leases of that element priced by the permit's
+/// own structure — so the driver's ledger is the only set of books.
 pub trait PermitOnline {
-    /// Serves a demand (a rainy day) at time `t`. Days must be served in
-    /// non-decreasing order.
-    fn serve_demand(&mut self, t: TimeStep);
-
-    /// Whether the permits bought so far cover day `t`.
-    fn is_covered(&self, t: TimeStep) -> bool;
-
-    /// Total price paid so far.
-    fn total_cost(&self) -> f64;
+    /// Serves a demand for `element` at time `t` (non-decreasing across
+    /// calls), buying from `books` with
+    /// [`buy_priced`](Books::buy_priced) under
+    /// [`CATEGORY_LEASE`](leasing_core::engine::CATEGORY_LEASE).
+    fn serve(&mut self, t: TimeStep, element: usize, books: &mut Books<'_>);
 }
 
 /// A complete problem instance: the permit structure plus the sorted list of
@@ -102,15 +88,6 @@ impl PermitInstance {
         demands.sort_unstable();
         demands.dedup();
         PermitInstance { structure, demands }
-    }
-
-    /// Runs any [`PermitOnline`] algorithm over the instance and returns its
-    /// final cost.
-    pub fn run<A: PermitOnline>(&self, alg: &mut A) -> f64 {
-        for &d in &self.demands {
-            alg.serve_demand(d);
-        }
-        alg.total_cost()
     }
 }
 

@@ -7,8 +7,8 @@
 //! candidate type at which the suffix sums of the fractions cross `τ`.
 //! Expected competitive ratio: `O(log K)` — optimal by Theorem 2.9.
 
-use crate::{PermitOnline, PurchaseLog, PERMIT_ELEMENT};
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
+use crate::{PermitOnline, PERMIT_ELEMENT};
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_covering;
 use leasing_core::lease::{Lease, LeaseStructure};
@@ -17,9 +17,10 @@ use rand::{Rng, RngExt};
 
 /// Randomized fractional + threshold-rounding parking-permit algorithm.
 ///
-/// Coverage and ownership are queried from the ledger's coverage index
-/// ([`Ledger::covered`]/[`Ledger::owns`]) — the algorithm keeps no private
-/// active-lease table.
+/// Coverage and ownership are queried from the books' coverage index
+/// ([`Ledger::covered`](leasing_core::engine::Ledger::covered)/
+/// [`Ledger::owns`](leasing_core::engine::Ledger::owns)) — the algorithm
+/// keeps no private active-lease table.
 #[derive(Clone, Debug)]
 pub struct RandomizedPermit {
     structure: LeaseStructure,
@@ -37,8 +38,6 @@ pub struct RandomizedPermit {
     /// instrumentation: fractional cost ≤ O(log K)·Opt).
     fractional_cost: f64,
     purchases: Vec<Lease>,
-    /// Decision ledger backing the [`PermitOnline`] composition interface.
-    ledger: Ledger,
 }
 
 impl RandomizedPermit {
@@ -56,20 +55,44 @@ impl RandomizedPermit {
     /// Panics unless `0.0 < tau <= 1.0`.
     pub fn with_threshold(structure: LeaseStructure, tau: f64) -> Self {
         assert!(tau > 0.0 && tau <= 1.0, "threshold must lie in (0, 1]");
-        let ledger = Ledger::new(structure.clone());
         RandomizedPermit {
             fractions: vec![(TimeStep::MAX, 0.0); structure.num_types()],
             structure,
             tau,
             fractional_cost: 0.0,
             purchases: Vec::new(),
-            ledger,
         }
     }
 
-    /// Core fractional-growth + threshold-rounding step, recording the
-    /// purchase into the books.
-    fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
+    /// The permit structure this algorithm leases from.
+    pub fn structure(&self) -> &LeaseStructure {
+        &self.structure
+    }
+
+    /// Accumulated fractional cost `Σ c · f` (grows by at most 2 per
+    /// while-loop iteration; see the proof of claim (i) in §2.2.3).
+    pub fn fractional_cost(&self) -> f64 {
+        self.fractional_cost
+    }
+
+    /// The leases bought so far, in purchase order.
+    pub fn purchases(&self) -> &[Lease] {
+        &self.purchases
+    }
+
+    fn fraction(&self, lease: &Lease) -> f64 {
+        self.fractions
+            .get(lease.type_index)
+            .filter(|slot| slot.0 == lease.start)
+            .map(|slot| slot.1)
+            .unwrap_or(0.0)
+    }
+}
+
+impl PermitOnline for RandomizedPermit {
+    /// The fractional-growth + threshold-rounding step for one demand of
+    /// `element`.
+    fn serve(&mut self, t: TimeStep, element: usize, books: &mut Books<'_>) {
         let candidates = candidates_covering(&self.structure, t);
         let q = candidates.len() as f64;
 
@@ -115,48 +138,12 @@ impl RandomizedPermit {
         // Σ f >= 1 >= τ guarantees a crossing; fall back to the shortest
         // candidate against numerical loss.
         let lease = chosen.unwrap_or(candidates[0]);
-        let triple = Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start);
+        let triple = Triple::new(element, lease.type_index, lease.start);
         if !books.owns(triple) {
-            books.buy(t, triple);
+            books.buy_priced(t, triple, lease.cost(&self.structure), CATEGORY_LEASE);
             self.purchases.push(lease);
         }
-        debug_assert!(books.covered(PERMIT_ELEMENT, t));
-    }
-
-    /// The permit structure this algorithm leases from.
-    pub fn structure(&self) -> &LeaseStructure {
-        &self.structure
-    }
-
-    /// Accumulated fractional cost `Σ c · f` (grows by at most 2 per
-    /// while-loop iteration; see the proof of claim (i) in §2.2.3).
-    pub fn fractional_cost(&self) -> f64 {
-        self.fractional_cost
-    }
-
-    /// The leases bought so far, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
-    }
-
-    /// Total cost paid so far through [`PermitOnline::serve_demand`]
-    /// (inherent mirror of [`PermitOnline::total_cost`], so callers need
-    /// not import the trait).
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The ledger behind [`PermitOnline::serve_demand`].
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
-    fn fraction(&self, lease: &Lease) -> f64 {
-        self.fractions
-            .get(lease.type_index)
-            .filter(|slot| slot.0 == lease.start)
-            .map(|slot| slot.1)
-            .unwrap_or(0.0)
+        debug_assert!(books.covered(element, t));
     }
 }
 
@@ -164,30 +151,7 @@ impl LeasingAlgorithm for RandomizedPermit {
     type Request = ();
 
     fn on_request(&mut self, time: TimeStep, _request: (), mut books: Books<'_>) {
-        self.serve_with(time, &mut books);
-    }
-}
-
-impl PurchaseLog for RandomizedPermit {
-    fn purchases(&self) -> &[Lease] {
-        &self.purchases
-    }
-}
-
-impl PermitOnline for RandomizedPermit {
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
+        self.serve(time, PERMIT_ELEMENT, &mut books);
     }
 }
 
@@ -195,8 +159,15 @@ impl PermitOnline for RandomizedPermit {
 mod tests {
     use super::*;
     use crate::offline;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
+
+    /// A driver over `alg`, pricing with its own structure.
+    fn permit(alg: RandomizedPermit) -> Driver<RandomizedPermit> {
+        let s = alg.structure().clone();
+        Driver::new(alg, s)
+    }
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![
@@ -210,12 +181,12 @@ mod tests {
     #[test]
     fn every_demand_ends_up_covered() {
         let mut rng = seeded(1);
-        let mut alg = RandomizedPermit::new(structure(), &mut rng);
+        let mut driver = permit(RandomizedPermit::new(structure(), &mut rng));
         for t in [0u64, 1, 5, 6, 7, 20, 40, 41] {
-            alg.serve_demand(t);
-            assert!(alg.is_covered(t));
+            driver.submit(t, ()).unwrap();
+            assert!(driver.ledger().covered(PERMIT_ELEMENT, t));
         }
-        assert!(alg.total_cost() > 0.0);
+        assert!(driver.cost() > 0.0);
     }
 
     #[test]
@@ -224,18 +195,21 @@ mod tests {
         // shortest type only after all fractions are accumulated; with a
         // fresh instance the crossing index is the first type whose suffix
         // reaches 1, i.e. scanning from the longest type downward.
-        let mut alg = RandomizedPermit::with_threshold(structure(), 1.0);
-        alg.serve_demand(0);
-        assert_eq!(alg.purchases().len(), 1);
-        assert!(alg.is_covered(0));
+        let mut driver = permit(RandomizedPermit::with_threshold(structure(), 1.0));
+        driver.submit(0, ()).unwrap();
+        assert_eq!(driver.algorithm().purchases().len(), 1);
+        assert!(driver.ledger().covered(PERMIT_ELEMENT, 0));
     }
 
     #[test]
     fn tiny_threshold_prefers_long_leases() {
         // τ -> 0 crosses at the longest type with non-zero fraction.
-        let mut alg = RandomizedPermit::with_threshold(structure(), 1e-12_f64.max(0.001));
-        alg.serve_demand(0);
-        assert_eq!(alg.purchases()[0].type_index, 2);
+        let mut driver = permit(RandomizedPermit::with_threshold(
+            structure(),
+            1e-12_f64.max(0.001),
+        ));
+        driver.submit(0, ()).unwrap();
+        assert_eq!(driver.algorithm().purchases()[0].type_index, 2);
     }
 
     #[test]
@@ -246,16 +220,16 @@ mod tests {
 
     #[test]
     fn fractional_cost_grows_by_at_most_two_per_loop() {
-        let mut alg = RandomizedPermit::with_threshold(structure(), 0.5);
-        alg.serve_demand(0);
-        let after_first = alg.fractional_cost();
+        let mut driver = permit(RandomizedPermit::with_threshold(structure(), 0.5));
+        driver.submit(0, ()).unwrap();
+        let after_first = driver.algorithm().fractional_cost();
         // Each while-loop iteration adds Σ f + 1 < 2 to the fractional cost.
         // The number of iterations for a fresh day is bounded; just sanity
         // check the invariant indirectly: fractional cost is positive, finite.
         assert!(after_first > 0.0 && after_first.is_finite());
         // Serving the same day again adds nothing (sum already >= 1).
-        alg.serve_demand(0);
-        assert!((alg.fractional_cost() - after_first).abs() < 1e-12);
+        driver.submit(0, ()).unwrap();
+        assert!((driver.algorithm().fractional_cost() - after_first).abs() < 1e-12);
     }
 
     #[test]
@@ -270,11 +244,11 @@ mod tests {
         let mut total = 0.0;
         for seed in 0..trials {
             let mut rng = seeded(seed);
-            let mut alg = RandomizedPermit::new(s.clone(), &mut rng);
+            let mut driver = permit(RandomizedPermit::new(s.clone(), &mut rng));
             for &t in &demands {
-                alg.serve_demand(t);
+                driver.submit(t, ()).unwrap();
             }
-            total += alg.total_cost();
+            total += driver.cost();
         }
         let mean = total / trials as f64;
         let ratio = mean / opt;
@@ -288,11 +262,11 @@ mod tests {
         let s = structure();
         let run = |seed: u64| {
             let mut rng = seeded(seed);
-            let mut alg = RandomizedPermit::new(s.clone(), &mut rng);
+            let mut driver = permit(RandomizedPermit::new(s.clone(), &mut rng));
             for t in [0u64, 3, 9, 27] {
-                alg.serve_demand(t);
+                driver.submit(t, ()).unwrap();
             }
-            (alg.total_cost(), alg.purchases().to_vec())
+            (driver.cost(), driver.algorithm().purchases().to_vec())
         };
         assert_eq!(run(42), run(42));
     }

@@ -12,14 +12,13 @@
 //!   Meyerson's headline bound for `SteinerTreeLeasing`.
 
 use crate::instance::{PairRequest, SteinerInstance};
-use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
-use leasing_core::framework::Triple;
+use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::lease::Lease;
 use leasing_core::time::TimeStep;
 use leasing_graph::paths::dijkstra_with;
 use parking_permit::det::DeterministicPrimalDual;
 use parking_permit::rand_alg::RandomizedPermit;
-use parking_permit::{PermitOnline, PurchaseLog};
+use parking_permit::PermitOnline;
 use rand::Rng;
 
 /// Counters exposed by the online algorithms for the experiments.
@@ -35,6 +34,10 @@ pub struct SteinerStats {
 
 /// Online Steiner leasing with one [`PermitOnline`] subroutine per edge.
 ///
+/// Edge `e`'s permit records its leases straight into the driver's books
+/// as element `e`, so whether an edge is leased at `t` is
+/// `driver.ledger().covered(e, t)`.
+///
 /// Generic over the permit flavour; use [`SteinerLeasingOnline`] for the
 /// deterministic and [`RandomizedSteinerLeasing`] for the randomized
 /// instantiation.
@@ -42,9 +45,6 @@ pub struct SteinerStats {
 pub struct GenericSteinerLeasing<'a, P> {
     instance: &'a SteinerInstance,
     permits: Vec<P>,
-    /// How many purchases of each edge's permit have been mirrored into
-    /// the ledger.
-    mirrored: Vec<usize>,
     stats: SteinerStats,
 }
 
@@ -59,14 +59,12 @@ pub type RandomizedSteinerLeasing<'a> = GenericSteinerLeasing<'a, RandomizedPerm
 impl<'a> SteinerLeasingOnline<'a> {
     /// Creates the deterministic algorithm for `instance`.
     pub fn new(instance: &'a SteinerInstance) -> Self {
-        let permits: Vec<DeterministicPrimalDual> = (0..instance.graph.num_edges())
+        let permits = (0..instance.graph.num_edges())
             .map(|e| DeterministicPrimalDual::new(instance.scaled_structure(e)))
             .collect();
-        let mirrored = vec![0; permits.len()];
         GenericSteinerLeasing {
             instance,
             permits,
-            mirrored,
             stats: SteinerStats::default(),
         }
     }
@@ -76,32 +74,21 @@ impl<'a> RandomizedSteinerLeasing<'a> {
     /// Creates the randomized algorithm for `instance`, drawing each edge's
     /// rounding threshold from `rng`.
     pub fn new<R: Rng + ?Sized>(instance: &'a SteinerInstance, rng: &mut R) -> Self {
-        let permits: Vec<RandomizedPermit> = (0..instance.graph.num_edges())
+        let permits = (0..instance.graph.num_edges())
             .map(|e| RandomizedPermit::new(instance.scaled_structure(e), rng))
             .collect();
-        let mirrored = vec![0; permits.len()];
         GenericSteinerLeasing {
             instance,
             permits,
-            mirrored,
             stats: SteinerStats::default(),
         }
     }
 }
 
-impl<'a, P: PermitOnline + PurchaseLog> GenericSteinerLeasing<'a, P> {
+impl<'a, P: PermitOnline> GenericSteinerLeasing<'a, P> {
     /// The instance being served.
     pub fn instance(&self) -> &SteinerInstance {
         self.instance
-    }
-
-    /// Whether edge `e` holds an active lease at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn edge_active(&self, e: usize, t: TimeStep) -> bool {
-        self.permits[e].is_covered(t)
     }
 
     /// Experiment counters accumulated so far.
@@ -110,12 +97,11 @@ impl<'a, P: PermitOnline + PurchaseLog> GenericSteinerLeasing<'a, P> {
     }
 
     /// Core routing + per-edge permit step, recording purchases into
-    /// `ledger`.
+    /// `books`.
     ///
-    /// Edge activity is read from the ledger's coverage index (`element` =
+    /// Edge activity is read from the books' coverage index (`element` =
     /// edge id); the per-edge permits only decide *how long* to lease, and
-    /// every permit purchase is mirrored into the ledger immediately, so
-    /// the two views never diverge.
+    /// buy into the same books at the edge's scaled prices.
     fn serve_with(&mut self, req: PairRequest, books: &mut Books<'_>) {
         let g = &self.instance.graph;
         let t = req.time;
@@ -134,9 +120,8 @@ impl<'a, P: PermitOnline + PurchaseLog> GenericSteinerLeasing<'a, P> {
         self.stats.routed_edges += path.len();
         for e in path {
             if !books.covered(e, t) {
-                self.permits[e].serve_demand(t);
+                self.permits[e].serve(t, e, books);
                 self.stats.permit_demands += 1;
-                self.mirror_purchases(t, e, books);
             }
             debug_assert!(
                 books.covered(e, t),
@@ -144,25 +129,9 @@ impl<'a, P: PermitOnline + PurchaseLog> GenericSteinerLeasing<'a, P> {
             );
         }
     }
-
-    /// Copies the permit subroutine's new purchases into the ledger at the
-    /// edge's scaled lease prices.
-    fn mirror_purchases(&mut self, t: TimeStep, e: usize, books: &mut Books<'_>) {
-        let fresh = &self.permits[e].purchases()[self.mirrored[e]..];
-        for lease in fresh {
-            let cost = self.instance.lease_cost(e, lease.type_index);
-            books.buy_priced(
-                t,
-                Triple::new(e, lease.type_index, lease.start),
-                cost,
-                CATEGORY_LEASE,
-            );
-        }
-        self.mirrored[e] = self.permits[e].purchases().len();
-    }
 }
 
-impl<'a, P: PermitOnline + PurchaseLog> LeasingAlgorithm for GenericSteinerLeasing<'a, P> {
+impl<'a, P: PermitOnline> LeasingAlgorithm for GenericSteinerLeasing<'a, P> {
     /// The `(u, v)` terminal pair to connect.
     type Request = (usize, usize);
 
@@ -208,11 +177,14 @@ mod tests {
     use leasing_core::rng::seeded;
     use leasing_graph::graph::Graph;
 
-    /// Drives `alg` over every request of `inst`; returns the total cost.
-    fn drive<A: LeasingAlgorithm<Request = (usize, usize)>>(alg: A, inst: &SteinerInstance) -> f64 {
+    /// Drives `alg` over every request of `inst`.
+    fn drive<A: LeasingAlgorithm<Request = (usize, usize)>>(
+        alg: A,
+        inst: &SteinerInstance,
+    ) -> Driver<A> {
         let mut driver = Driver::new(alg, inst.structure.clone());
         driver.submit_batch(inst.online_requests()).unwrap();
-        driver.cost()
+        driver
     }
 
     fn structure() -> LeaseStructure {
@@ -228,14 +200,14 @@ mod tests {
     #[test]
     fn routes_along_the_cheap_path_and_leases_it() {
         let inst = diamond_instance(vec![PairRequest::new(0, 0, 3)]);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = drive(&mut alg, &inst);
+        let driver = drive(SteinerLeasingOnline::new(&inst), &inst);
+        let cost = driver.cost();
         // Cheap path 0-1-3 (weight 2), each edge gets a 2-day lease at rate 1.
         assert!((cost - 2.0).abs() < 1e-9);
-        assert!(alg.edge_active(0, 0));
-        assert!(alg.edge_active(1, 1));
-        assert!(!alg.edge_active(3, 0));
-        assert_eq!(alg.stats().routed_edges, 2);
+        assert!(driver.ledger().covered(0, 0));
+        assert!(driver.ledger().covered(1, 1));
+        assert!(!driver.ledger().covered(3, 0));
+        assert_eq!(driver.algorithm().stats().routed_edges, 2);
     }
 
     #[test]
@@ -244,13 +216,13 @@ mod tests {
             PairRequest::new(0, 0, 3),
             PairRequest::new(1, 0, 3), // same pair inside the lease window
         ]);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = drive(&mut alg, &inst);
+        let driver = drive(SteinerLeasingOnline::new(&inst), &inst);
+        let cost = driver.cost();
         assert!(
             (cost - 2.0).abs() < 1e-9,
             "second request must be free, got {cost}"
         );
-        assert_eq!(alg.stats().permit_demands, 2);
+        assert_eq!(driver.algorithm().stats().permit_demands, 2);
     }
 
     #[test]
@@ -260,9 +232,11 @@ mod tests {
         let requests: Vec<PairRequest> = (0..8u64).map(|i| PairRequest::new(i, 0, 1)).collect();
         let g = Graph::new(2, vec![(0, 1, 1.0)]).unwrap();
         let inst = SteinerInstance::new(g, structure(), requests).unwrap();
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        drive(&mut alg, &inst);
-        let long_bought = alg.permits[0].purchases().iter().any(|l| l.type_index == 1);
+        let driver = drive(SteinerLeasingOnline::new(&inst), &inst);
+        let long_bought = driver.algorithm().permits[0]
+            .purchases()
+            .iter()
+            .any(|l| l.type_index == 1);
         assert!(long_bought, "sustained demand must trigger the long lease");
     }
 
@@ -272,8 +246,8 @@ mod tests {
             PairRequest::new(0, 0, 3),
             PairRequest::new(100, 0, 3), // far outside every lease window
         ]);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = drive(&mut alg, &inst);
+        let driver = drive(SteinerLeasingOnline::new(&inst), &inst);
+        let cost = driver.cost();
         assert!(cost > 3.9, "both requests must pay, got {cost}");
     }
 
@@ -284,10 +258,10 @@ mod tests {
             PairRequest::new(3, 2, 3),
             PairRequest::new(9, 0, 2),
         ]);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = drive(&mut alg, &inst);
+        let driver = drive(SteinerLeasingOnline::new(&inst), &inst);
+        let cost = driver.cost();
         let mut solution: Vec<(usize, Lease)> = Vec::new();
-        for (e, permit) in alg.permits.iter().enumerate() {
+        for (e, permit) in driver.algorithm().permits.iter().enumerate() {
             for &lease in permit.purchases() {
                 solution.push((e, lease));
             }
@@ -307,17 +281,16 @@ mod tests {
             PairRequest::new(11, 0, 3),
         ]);
         let mut rng_a = seeded(5);
-        let mut a = RandomizedSteinerLeasing::new(&inst, &mut rng_a);
-        let cost_a = drive(&mut a, &inst);
+        let a = drive(RandomizedSteinerLeasing::new(&inst, &mut rng_a), &inst);
+        let cost_a = a.cost();
         let mut rng_b = seeded(5);
-        let mut b = RandomizedSteinerLeasing::new(&inst, &mut rng_b);
-        let cost_b = drive(&mut b, &inst);
+        let cost_b = drive(RandomizedSteinerLeasing::new(&inst, &mut rng_b), &inst).cost();
         assert_eq!(cost_a, cost_b, "same seed must reproduce the run");
         for req in &inst.requests {
             // Every request must be connected through active edges.
             let g = &inst.graph;
             let sp = dijkstra_with(g, req.u, |e| {
-                if a.edge_active(e, req.time) {
+                if a.ledger().covered(e, req.time) {
                     0.0
                 } else {
                     f64::INFINITY

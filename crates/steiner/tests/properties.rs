@@ -39,15 +39,14 @@ proptest! {
     #[test]
     fn deterministic_online_is_always_feasible(seed in 0u64..400, n in 2usize..10) {
         let inst = random_instance(seed, n, 6);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let mut driver = Driver::new(&mut alg, inst.structure.clone());
+        let mut driver = Driver::new(SteinerLeasingOnline::new(&inst), inst.structure.clone());
         driver.submit_batch(inst.online_requests()).unwrap();
         prop_assert!(driver.cost() >= 0.0);
         for req in &inst.requests {
             // Each request must be connected through active edges.
             let g = &inst.graph;
             let sp = leasing_graph::paths::dijkstra_with(g, req.u, |e| {
-                if alg.edge_active(e, req.time) { 0.0 } else { f64::INFINITY }
+                if driver.ledger().covered(e, req.time) { 0.0 } else { f64::INFINITY }
             });
             prop_assert!(sp.is_reachable(req.v));
         }
@@ -58,14 +57,13 @@ proptest! {
     fn randomized_online_is_always_feasible(seed in 0u64..200, rng_seed in 0u64..20) {
         let inst = random_instance(seed, 6, 5);
         let mut rng = seeded(rng_seed);
-        let mut alg = RandomizedSteinerLeasing::new(&inst, &mut rng);
-        Driver::new(&mut alg, inst.structure.clone())
-            .submit_batch(inst.online_requests())
-            .unwrap();
+        let alg = RandomizedSteinerLeasing::new(&inst, &mut rng);
+        let mut driver = Driver::new(alg, inst.structure.clone());
+        driver.submit_batch(inst.online_requests()).unwrap();
         for req in &inst.requests {
             let g = &inst.graph;
             let sp = leasing_graph::paths::dijkstra_with(g, req.u, |e| {
-                if alg.edge_active(e, req.time) { 0.0 } else { f64::INFINITY }
+                if driver.ledger().covered(e, req.time) { 0.0 } else { f64::INFINITY }
             });
             prop_assert!(sp.is_reachable(req.v));
         }

@@ -12,12 +12,12 @@
 //!   policy and the worst-case primal-dual side by side and always *buys*
 //!   with the currently cheaper one, hedging bad predictions.
 
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
+use leasing_core::engine::{Books, Driver, LeasingAlgorithm, Ledger};
 use leasing_core::framework::Triple;
-use leasing_core::interval::candidates_covering;
+use leasing_core::interval::{aligned_start, candidates_covering};
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
-use parking_permit::{PermitOnline, PurchaseLog, PERMIT_ELEMENT};
+use parking_permit::PERMIT_ELEMENT;
 
 /// Expected number of demands a type-`k` lease covers when each of its
 /// `l_k` days demands independently with probability `p` (at least one,
@@ -37,22 +37,19 @@ fn best_type_for_rate(structure: &LeaseStructure, p: f64) -> usize {
         .expect("validated structures are non-empty")
 }
 
+/// Buys the aligned type-`k` candidate lease covering day `t`.
+fn buy_aligned(structure: &LeaseStructure, k: usize, t: TimeStep, books: &mut Books<'_>) {
+    let start = aligned_start(t, structure.length(k));
+    books.buy(t, Triple::new(PERMIT_ELEMENT, k, start));
+}
+
 /// Policy that knows the daily demand rate `p`: on an uncovered demand it
 /// buys the aligned candidate of the type with the best expected price per
 /// served demand.
-///
-/// The [`PermitOnline`]/[`CoveringLease`] accessors (`is_covered`,
-/// `covering_lease_at`, `total_cost`) answer from the ledger behind
-/// [`PermitOnline::serve_demand`]; when driving through a
-/// [`Driver`](leasing_core::engine::Driver), query the driver's ledger
-/// ([`Ledger::covered`]/[`Ledger::active_lease`]) instead.
 #[derive(Clone, Debug)]
 pub struct RateThreshold {
     structure: LeaseStructure,
     p: f64,
-    purchases: Vec<Lease>,
-    /// Decision ledger backing the [`PermitOnline`] composition interface.
-    ledger: Ledger,
 }
 
 impl RateThreshold {
@@ -63,136 +60,46 @@ impl RateThreshold {
     /// Panics unless `0.0 <= p <= 1.0`.
     pub fn new(structure: LeaseStructure, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "rate out of range");
-        let ledger = Ledger::new(structure.clone());
-        RateThreshold {
-            structure,
-            p,
-            purchases: Vec::new(),
-            ledger,
-        }
-    }
-
-    /// Core policy step, recording the purchase into `ledger`.
-    fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
-        if books.covered(PERMIT_ELEMENT, t) {
-            return;
-        }
-        let k = self.chosen_type();
-        let lease = candidates_covering(&self.structure, t)
-            .into_iter()
-            .find(|l| l.type_index == k)
-            .expect("every type has an aligned candidate");
-        books.buy(
-            t,
-            Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start),
-        );
-        self.purchases.push(lease);
+        RateThreshold { structure, p }
     }
 
     /// The lease type this policy currently buys.
     pub fn chosen_type(&self) -> usize {
         best_type_for_rate(&self.structure, self.p)
     }
-
-    /// The purchases made so far (each bought exactly once, in buy order).
-    pub fn owned(&self) -> impl Iterator<Item = &Lease> {
-        self.purchases.iter()
-    }
-
-    /// The ledger behind [`PermitOnline::serve_demand`].
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-}
-
-impl PermitOnline for RateThreshold {
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
 }
 
 impl LeasingAlgorithm for RateThreshold {
     type Request = ();
 
-    fn on_request(&mut self, time: TimeStep, _request: (), mut books: Books<'_>) {
-        self.serve_with(time, &mut books);
-    }
-}
-
-impl PurchaseLog for RateThreshold {
-    fn purchases(&self) -> &[Lease] {
-        &self.purchases
+    fn on_request(&mut self, t: TimeStep, _request: (), mut books: Books<'_>) {
+        if books.covered(PERMIT_ELEMENT, t) {
+            return;
+        }
+        buy_aligned(&self.structure, self.chosen_type(), t, &mut books);
     }
 }
 
 /// Policy that estimates the rate online: after observing `d` demands over
 /// an elapsed horizon of `h` days it uses `p̂ = d / h` (Laplace-smoothed) in
 /// the same expected-price rule as [`RateThreshold`].
-///
-/// As with [`RateThreshold`], the `is_covered`/`covering_lease_at`/
-/// `total_cost` accessors answer from the ledger behind
-/// [`PermitOnline::serve_demand`] — under a
-/// [`Driver`](leasing_core::engine::Driver), query the driver's ledger
-/// instead.
 #[derive(Clone, Debug)]
 pub struct EmpiricalRate {
     structure: LeaseStructure,
     demands_seen: u64,
     first_day: Option<TimeStep>,
     last_day: TimeStep,
-    purchases: Vec<Lease>,
-    /// Decision ledger backing the [`PermitOnline`] composition interface.
-    ledger: Ledger,
 }
 
 impl EmpiricalRate {
     /// Creates the estimating policy.
     pub fn new(structure: LeaseStructure) -> Self {
-        let ledger = Ledger::new(structure.clone());
         EmpiricalRate {
             structure,
             demands_seen: 0,
             first_day: None,
             last_day: 0,
-            purchases: Vec::new(),
-            ledger,
         }
-    }
-
-    /// Core policy step, recording the purchase into `ledger`.
-    fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
-        self.first_day.get_or_insert(t);
-        self.last_day = self.last_day.max(t);
-        self.demands_seen += 1;
-        if books.covered(PERMIT_ELEMENT, t) {
-            return;
-        }
-        let k = best_type_for_rate(&self.structure, self.estimate());
-        let lease = candidates_covering(&self.structure, t)
-            .into_iter()
-            .find(|l| l.type_index == k)
-            .expect("every type has an aligned candidate");
-        books.buy(
-            t,
-            Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start),
-        );
-        self.purchases.push(lease);
-    }
-
-    /// The ledger behind [`PermitOnline::serve_demand`].
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// Current (Laplace-smoothed) rate estimate.
@@ -205,34 +112,18 @@ impl EmpiricalRate {
     }
 }
 
-impl PermitOnline for EmpiricalRate {
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-}
-
 impl LeasingAlgorithm for EmpiricalRate {
     type Request = ();
 
-    fn on_request(&mut self, time: TimeStep, _request: (), mut books: Books<'_>) {
-        self.serve_with(time, &mut books);
-    }
-}
-
-impl PurchaseLog for EmpiricalRate {
-    fn purchases(&self) -> &[Lease] {
-        &self.purchases
+    fn on_request(&mut self, t: TimeStep, _request: (), mut books: Books<'_>) {
+        self.first_day.get_or_insert(t);
+        self.last_day = self.last_day.max(t);
+        self.demands_seen += 1;
+        if books.covered(PERMIT_ELEMENT, t) {
+            return;
+        }
+        let k = best_type_for_rate(&self.structure, self.estimate());
+        buy_aligned(&self.structure, k, t, &mut books);
     }
 }
 
@@ -240,37 +131,36 @@ impl PurchaseLog for EmpiricalRate {
 /// [`SwitchCombiner`] needs to replicate its leader's purchase instead of
 /// guessing.
 pub trait CoveringLease {
-    /// An owned lease whose window contains `t`, if any.
-    fn covering_lease_at(&self, t: TimeStep) -> Option<Lease>;
+    /// An owned lease whose window contains `t`, if any, given the
+    /// `ledger` the policy has been recording into.
+    fn covering_lease_at(&self, ledger: &Ledger, t: TimeStep) -> Option<Lease>;
+}
+
+/// The shortest aligned candidate of `structure` covering `t` that
+/// `ledger` owns.
+fn owned_candidate(structure: &LeaseStructure, ledger: &Ledger, t: TimeStep) -> Option<Lease> {
+    // Candidate order (shortest type first) is part of the combiner's
+    // replication contract, so probe ownership per aligned candidate
+    // instead of taking the ledger's latest-expiry pick.
+    candidates_covering(structure, t)
+        .into_iter()
+        .find(|l| ledger.owns(Triple::new(PERMIT_ELEMENT, l.type_index, l.start)))
 }
 
 impl CoveringLease for RateThreshold {
-    fn covering_lease_at(&self, t: TimeStep) -> Option<Lease> {
-        // Candidate order (shortest type first) is part of the combiner's
-        // replication contract, so probe ownership per aligned candidate
-        // instead of taking the ledger's latest-expiry pick.
-        candidates_covering(&self.structure, t)
-            .into_iter()
-            .find(|l| {
-                self.ledger
-                    .owns(Triple::new(PERMIT_ELEMENT, l.type_index, l.start))
-            })
+    fn covering_lease_at(&self, ledger: &Ledger, t: TimeStep) -> Option<Lease> {
+        owned_candidate(&self.structure, ledger, t)
     }
 }
 
 impl CoveringLease for EmpiricalRate {
-    fn covering_lease_at(&self, t: TimeStep) -> Option<Lease> {
-        candidates_covering(&self.structure, t)
-            .into_iter()
-            .find(|l| {
-                self.ledger
-                    .owns(Triple::new(PERMIT_ELEMENT, l.type_index, l.start))
-            })
+    fn covering_lease_at(&self, ledger: &Ledger, t: TimeStep) -> Option<Lease> {
+        owned_candidate(&self.structure, ledger, t)
     }
 }
 
 impl CoveringLease for parking_permit::det::DeterministicPrimalDual {
-    fn covering_lease_at(&self, t: TimeStep) -> Option<Lease> {
+    fn covering_lease_at(&self, _ledger: &Ledger, t: TimeStep) -> Option<Lease> {
         self.purchases()
             .iter()
             .copied()
@@ -278,10 +168,10 @@ impl CoveringLease for parking_permit::det::DeterministicPrimalDual {
     }
 }
 
-/// Robustness combiner: simulates two [`PermitOnline`] policies on the same
-/// demand stream and, for each uncovered demand, *actually buys* the lease
-/// the policy with the currently smaller simulated total cost covers the
-/// day with.
+/// Robustness combiner: simulates two policies on the same demand stream,
+/// each on its own [`Driver`], and, for each uncovered demand, *actually
+/// buys* the lease the policy with the currently smaller simulated total
+/// cost covers the day with.
 ///
 /// Both inner policies always observe every demand (their simulated state
 /// stays consistent); only the purchases of the currently-leading policy
@@ -290,63 +180,26 @@ impl CoveringLease for parking_permit::det::DeterministicPrimalDual {
 /// experiments.
 #[derive(Clone, Debug)]
 pub struct SwitchCombiner<A, B> {
-    a: A,
-    b: B,
+    a: Driver<A>,
+    b: Driver<B>,
     switches: usize,
     last_leader_a: bool,
-    /// Decision ledger backing the [`PermitOnline`] composition interface.
-    ledger: Ledger,
 }
 
-impl<A: PermitOnline + CoveringLease, B: PermitOnline + CoveringLease> SwitchCombiner<A, B> {
+impl<A, B> SwitchCombiner<A, B>
+where
+    A: LeasingAlgorithm<Request = ()> + CoveringLease,
+    B: LeasingAlgorithm<Request = ()> + CoveringLease,
+{
     /// Combines `a` (e.g. a prediction policy) with `b` (e.g. the worst-case
-    /// primal-dual).
+    /// primal-dual), simulating both over `structure`.
     pub fn new(structure: LeaseStructure, a: A, b: B) -> Self {
-        let ledger = Ledger::new(structure);
         SwitchCombiner {
-            a,
-            b,
+            a: Driver::new(a, structure.clone()),
+            b: Driver::new(b, structure),
             switches: 0,
             last_leader_a: true,
-            ledger,
         }
-    }
-
-    /// Core combiner step, recording the replicated purchase into `ledger`.
-    fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
-        // Both simulations always advance.
-        self.a.serve_demand(t);
-        self.b.serve_demand(t);
-        if books.covered(PERMIT_ELEMENT, t) {
-            return;
-        }
-        let leader_a = self.a.total_cost() <= self.b.total_cost();
-        if leader_a != self.last_leader_a {
-            self.switches += 1;
-            self.last_leader_a = leader_a;
-        }
-        // Replicate the leader's covering lease for day t; if the leader
-        // somehow exposes none (both policies must cover t after serving),
-        // fall back to the follower's.
-        let lease = if leader_a {
-            self.a
-                .covering_lease_at(t)
-                .or_else(|| self.b.covering_lease_at(t))
-        } else {
-            self.b
-                .covering_lease_at(t)
-                .or_else(|| self.a.covering_lease_at(t))
-        }
-        .expect("an inner policy must cover the demand it just served");
-        let triple = Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start);
-        if !books.owns(triple) {
-            books.buy(t, triple);
-        }
-    }
-
-    /// The ledger behind [`PermitOnline::serve_demand`].
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// How many times the leader changed.
@@ -356,40 +209,47 @@ impl<A: PermitOnline + CoveringLease, B: PermitOnline + CoveringLease> SwitchCom
 
     /// Simulated cost of the two inner policies `(A, B)`.
     pub fn inner_costs(&self) -> (f64, f64) {
-        (self.a.total_cost(), self.b.total_cost())
-    }
-}
-
-impl<A, B> PermitOnline for SwitchCombiner<A, B>
-where
-    A: PermitOnline + CoveringLease,
-    B: PermitOnline + CoveringLease,
-{
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
+        (self.a.cost(), self.b.cost())
     }
 }
 
 impl<A, B> LeasingAlgorithm for SwitchCombiner<A, B>
 where
-    A: PermitOnline + CoveringLease,
-    B: PermitOnline + CoveringLease,
+    A: LeasingAlgorithm<Request = ()> + CoveringLease,
+    B: LeasingAlgorithm<Request = ()> + CoveringLease,
 {
     type Request = ();
 
-    fn on_request(&mut self, time: TimeStep, _request: (), mut books: Books<'_>) {
-        self.serve_with(time, &mut books);
+    fn on_request(&mut self, t: TimeStep, _request: (), mut books: Books<'_>) {
+        // Both simulations always advance. The outer driver already
+        // enforced monotone time, so the inner submits cannot time-travel.
+        let served = self.a.submit(t, ()).and(self.b.submit(t, ()));
+        // lint:allow(panic: inner drivers see the outer driver's monotone times)
+        served.expect("inner simulation time is monotone");
+        if books.covered(PERMIT_ELEMENT, t) {
+            return;
+        }
+        let leader_a = self.a.cost() <= self.b.cost();
+        if leader_a != self.last_leader_a {
+            self.switches += 1;
+            self.last_leader_a = leader_a;
+        }
+        // Replicate the leader's covering lease for day t; if the leader
+        // somehow exposes none (both policies must cover t after serving),
+        // fall back to the follower's.
+        let (a, b) = (&self.a, &self.b);
+        let from_a = || a.algorithm().covering_lease_at(a.ledger(), t);
+        let from_b = || b.algorithm().covering_lease_at(b.ledger(), t);
+        let lease = if leader_a {
+            from_a().or_else(from_b)
+        } else {
+            from_b().or_else(from_a)
+        }
+        .expect("an inner policy must cover the demand it just served");
+        let triple = Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start);
+        if !books.owns(triple) {
+            books.buy(t, triple);
+        }
     }
 }
 
@@ -409,6 +269,11 @@ mod tests {
             LeaseType::new(64, 16.0),
         ])
         .unwrap()
+    }
+
+    /// A driver over `alg`, pricing with [`structure`].
+    fn drive<A: LeasingAlgorithm<Request = ()>>(alg: A) -> Driver<A> {
+        Driver::new(alg, structure())
     }
 
     #[test]
@@ -431,10 +296,10 @@ mod tests {
     fn rate_policy_always_covers_demands() {
         let proc = Bernoulli::new(256, 0.4);
         let days = proc.sample(&mut seeded(11));
-        let mut policy = RateThreshold::new(structure(), 0.4);
+        let mut policy = drive(RateThreshold::new(structure(), 0.4));
         for &t in &days {
-            policy.serve_demand(t);
-            assert!(policy.is_covered(t));
+            policy.submit(t, ()).unwrap();
+            assert!(policy.ledger().covered(PERMIT_ELEMENT, t));
         }
     }
 
@@ -450,14 +315,14 @@ mod tests {
                 continue;
             }
             let opt = offline::optimal_cost_interval_model(&structure(), &days);
-            let mut informed = RateThreshold::new(structure(), 0.9);
-            let mut worst_case = DeterministicPrimalDual::new(structure());
+            let mut informed = drive(RateThreshold::new(structure(), 0.9));
+            let mut worst_case = drive(DeterministicPrimalDual::new(structure()));
             for &t in &days {
-                informed.serve_demand(t);
-                worst_case.serve_demand(t);
+                informed.submit(t, ()).unwrap();
+                worst_case.submit(t, ()).unwrap();
             }
-            ratios.0 += informed.total_cost() / opt;
-            ratios.1 += PermitOnline::total_cost(&worst_case) / opt;
+            ratios.0 += informed.cost() / opt;
+            ratios.1 += worst_case.cost() / opt;
         }
         assert!(
             ratios.0 < ratios.1,
@@ -471,14 +336,14 @@ mod tests {
     fn empirical_estimate_converges() {
         let proc = Bernoulli::new(4096, 0.35);
         let days = proc.sample(&mut seeded(21));
-        let mut policy = EmpiricalRate::new(structure());
+        let mut policy = drive(EmpiricalRate::new(structure()));
         for &t in &days {
-            policy.serve_demand(t);
+            policy.submit(t, ()).unwrap();
         }
         assert!(
-            (policy.estimate() - 0.35).abs() < 0.05,
+            (policy.algorithm().estimate() - 0.35).abs() < 0.05,
             "estimate {} should approach 0.35",
-            policy.estimate()
+            policy.algorithm().estimate()
         );
     }
 
@@ -486,18 +351,18 @@ mod tests {
     fn empirical_policy_tracks_the_informed_one() {
         let proc = Bernoulli::new(1024, 0.8);
         let days = proc.sample(&mut seeded(33));
-        let mut informed = RateThreshold::new(structure(), 0.8);
-        let mut empirical = EmpiricalRate::new(structure());
+        let mut informed = drive(RateThreshold::new(structure(), 0.8));
+        let mut empirical = drive(EmpiricalRate::new(structure()));
         for &t in &days {
-            informed.serve_demand(t);
-            empirical.serve_demand(t);
+            informed.submit(t, ()).unwrap();
+            empirical.submit(t, ()).unwrap();
         }
         // The estimator warms up, so allow a modest overhead factor.
         assert!(
-            empirical.total_cost() <= 2.0 * PermitOnline::total_cost(&informed) + 16.0,
+            empirical.cost() <= 2.0 * informed.cost() + 16.0,
             "empirical {} vs informed {}",
-            empirical.total_cost(),
-            PermitOnline::total_cost(&informed)
+            empirical.cost(),
+            informed.cost()
         );
     }
 
@@ -509,22 +374,22 @@ mod tests {
             if days.is_empty() {
                 continue;
             }
-            let mut combiner = SwitchCombiner::new(
+            let mut combiner = drive(SwitchCombiner::new(
                 structure(),
                 RateThreshold::new(structure(), p_predicted),
                 DeterministicPrimalDual::new(structure()),
-            );
+            ));
             for &t in &days {
-                combiner.serve_demand(t);
-                assert!(combiner.is_covered(t));
+                combiner.submit(t, ()).unwrap();
+                assert!(combiner.ledger().covered(PERMIT_ELEMENT, t));
             }
-            let (a, b) = combiner.inner_costs();
+            let (a, b) = combiner.algorithm().inner_costs();
             // The combiner never pays more than both inner policies
             // together (each purchase follows one of them).
             assert!(
-                combiner.total_cost() <= a + b + 1e-9,
+                combiner.cost() <= a + b + 1e-9,
                 "combined {} vs inner {a} + {b}",
-                combiner.total_cost()
+                combiner.cost()
             );
         }
     }

@@ -8,15 +8,14 @@
 //! charge current prices, and [`optimal_cost_priced`] is the exact
 //! hierarchical DP under the same price path (the clairvoyant baseline).
 
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_LEASE};
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::{aligned_start, candidates_covering};
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
 use leasing_core::EPS;
-use parking_permit::PermitOnline;
+use parking_permit::PERMIT_ELEMENT;
 use rand::{Rng, RngExt};
-use std::collections::HashSet;
 
 /// A sampled per-day multiplier path, bounded inside `[lo, hi]`.
 #[derive(Clone, Debug, PartialEq)]
@@ -79,6 +78,9 @@ impl PricePath {
 /// The deterministic primal-dual of §2.2.2 adapted to day-of-purchase
 /// prices: dual constraints tighten against the price *on the day the
 /// demand arrives* (leases are paid at current rates).
+///
+/// Coverage and ownership are read from the books; the algorithm keeps
+/// only its purchase log.
 #[derive(Clone, Debug)]
 pub struct PriceAwarePermit<'a> {
     structure: LeaseStructure,
@@ -89,42 +91,36 @@ pub struct PriceAwarePermit<'a> {
     /// window. Under the monotone arrival order only the candidate
     /// covering the present demand is ever read, so a slot resets to zero
     /// when its window slides — K slots instead of one map entry per
-    /// aligned lease ever charged. Ownership history (`owned`) is kept in
-    /// full: it backs [`PermitOnline::is_covered`] and
-    /// [`owned`](PriceAwarePermit::owned).
+    /// aligned lease ever charged.
     contributions: Vec<(TimeStep, f64)>,
-    owned: HashSet<Lease>,
-    /// Decision ledger backing the [`PermitOnline`] composition interface.
-    ledger: Ledger,
+    /// Purchase log in buy order.
+    purchases: Vec<Lease>,
 }
 
 impl<'a> PriceAwarePermit<'a> {
     /// Creates the algorithm under the given price path.
     pub fn new(structure: LeaseStructure, prices: &'a PricePath) -> Self {
-        let ledger = Ledger::new(structure.clone());
         PriceAwarePermit {
             contributions: vec![(TimeStep::MAX, 0.0); structure.num_types()],
             structure,
             prices,
-            owned: HashSet::new(),
-            ledger,
+            purchases: Vec::new(),
         }
     }
 
-    /// The purchases made so far.
+    /// The purchases made so far, in buy order.
     pub fn owned(&self) -> impl Iterator<Item = &Lease> {
-        self.owned.iter()
+        self.purchases.iter()
     }
+}
 
-    /// The ledger behind [`PermitOnline::serve_demand`].
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
+impl<'a> LeasingAlgorithm for PriceAwarePermit<'a> {
+    type Request = ();
 
-    /// Core price-aware primal-dual step, recording purchases into
-    /// `ledger` at day-of-purchase prices.
-    fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
-        if self.is_covered(t) {
+    /// The price-aware primal-dual step, recording purchases into `books`
+    /// at day-of-purchase prices.
+    fn on_request(&mut self, t: TimeStep, _request: (), mut books: Books<'_>) {
+        if books.covered(PERMIT_ELEMENT, t) {
             return;
         }
         let candidates = candidates_covering(&self.structure, t);
@@ -158,44 +154,13 @@ impl<'a> PriceAwarePermit<'a> {
                 }
                 None => delta,
             };
-            if paid >= price(&c) - EPS && !self.owned.contains(&c) {
-                self.owned.insert(c);
-                books.buy_priced(
-                    t,
-                    Triple::new(parking_permit::PERMIT_ELEMENT, c.type_index, c.start),
-                    price(&c),
-                    CATEGORY_LEASE,
-                );
+            let triple = Triple::new(PERMIT_ELEMENT, c.type_index, c.start);
+            if paid >= price(&c) - EPS && !books.owns(triple) {
+                self.purchases.push(c);
+                books.buy_priced(t, triple, price(&c), CATEGORY_LEASE);
             }
         }
-        debug_assert!(self.is_covered(t));
-    }
-}
-
-impl<'a> PermitOnline for PriceAwarePermit<'a> {
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        candidates_covering(&self.structure, t)
-            .into_iter()
-            .any(|l| self.owned.contains(&l))
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-}
-
-impl<'a> LeasingAlgorithm for PriceAwarePermit<'a> {
-    type Request = ();
-
-    fn on_request(&mut self, time: TimeStep, _request: (), mut books: Books<'_>) {
-        self.serve_with(time, &mut books);
+        debug_assert!(books.covered(PERMIT_ELEMENT, t));
     }
 }
 
@@ -271,6 +236,7 @@ fn window_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::Driver;
     use leasing_core::interval::power_of_two_structure;
     use leasing_core::rng::seeded;
 
@@ -325,12 +291,33 @@ mod tests {
         let mut rng = seeded(10);
         use rand::RngExt;
         let demands: Vec<TimeStep> = (0..512).filter(|_| rng.random::<f64>() < 0.2).collect();
-        let mut alg = PriceAwarePermit::new(structure(), &prices);
+        let mut alg = Driver::new(PriceAwarePermit::new(structure(), &prices), structure());
         for &t in &demands {
-            alg.serve_demand(t);
-            assert!(alg.is_covered(t));
+            alg.submit(t, ()).unwrap();
+            assert!(alg.ledger().covered(PERMIT_ELEMENT, t));
         }
-        assert!(alg.total_cost() > 0.0);
+        assert!(alg.cost() > 0.0);
+    }
+
+    #[test]
+    fn owned_lists_purchases_in_ledger_decision_order() {
+        let prices = PricePath::sample(&mut seeded(4), 256, 0.3, 0.5, 2.0);
+        let mut rng = seeded(5);
+        use rand::RngExt;
+        let demands: Vec<TimeStep> = (0..256).filter(|_| rng.random::<f64>() < 0.3).collect();
+        let mut driver = Driver::new(PriceAwarePermit::new(structure(), &prices), structure());
+        for &t in &demands {
+            driver.submit(t, ()).unwrap();
+        }
+        let bought: Vec<Lease> = driver
+            .ledger()
+            .decisions()
+            .iter()
+            .filter_map(|d| d.lease)
+            .collect();
+        let owned: Vec<Lease> = driver.algorithm().owned().copied().collect();
+        assert!(owned.len() > 1, "the run must buy several leases");
+        assert_eq!(owned, bought);
     }
 
     #[test]
@@ -343,18 +330,18 @@ mod tests {
             if demands.is_empty() {
                 continue;
             }
-            let mut alg = PriceAwarePermit::new(structure(), &prices);
+            let mut alg = Driver::new(PriceAwarePermit::new(structure(), &prices), structure());
             for &t in &demands {
-                alg.serve_demand(t);
+                alg.submit(t, ()).unwrap();
             }
             let opt = optimal_cost_priced(&structure(), &prices, &demands);
             // Online purchases and the DP may catch different multipliers;
             // with the band [0.5, 2.0] the online cost is at least
             // 0.5 · flat_opt >= 0.25 · priced_opt.
             assert!(
-                alg.total_cost() >= opt * 0.25 - 1e-9,
+                alg.cost() >= opt * 0.25 - 1e-9,
                 "online {} vs clairvoyant {opt}",
-                alg.total_cost()
+                alg.cost()
             );
         }
     }

@@ -179,11 +179,11 @@ fn switch_combiner_ledger_and_counters_match_golden() {
 #[test]
 fn adaptive_adversary_demands_and_cost_match_golden() {
     let s = LeaseStructure::meyerson_adversarial(3);
-    let mut alg = DeterministicPrimalDual::new(s.clone());
-    let demands = run_adaptive_adversary(&mut alg, s.l_max());
+    let mut driver = Driver::new(DeterministicPrimalDual::new(s.clone()), s.clone());
+    let demands = run_adaptive_adversary(&mut driver, s.l_max()).unwrap();
     let text = format!(
         "{{\"demands\":{demands:?},\"cost_bits\":{}}}",
-        alg.total_cost().to_bits()
+        driver.cost().to_bits()
     );
     assert_matches_golden("adaptive-adversary.json", &text);
 }

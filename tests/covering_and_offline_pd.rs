@@ -15,8 +15,8 @@ use online_resource_leasing::engine::Driver;
 use online_resource_leasing::facility::instance::FacilityInstance;
 use online_resource_leasing::facility::metric::Point;
 use online_resource_leasing::facility::{offline as fac_offline, offline_primal_dual};
+use online_resource_leasing::parking_permit::offline as ppp_offline;
 use online_resource_leasing::parking_permit::rand_alg::RandomizedPermit;
-use online_resource_leasing::parking_permit::{offline as ppp_offline, PermitOnline};
 use online_resource_leasing::set_cover::instance::SmclInstance;
 use online_resource_leasing::set_cover::offline as sc_offline;
 use online_resource_leasing::set_cover::online::SmclOnline;
@@ -59,12 +59,15 @@ fn certificates_are_sound_across_problem_families() {
     // Parking permit: exact DP optimum.
     let mut rng = seeded(4100);
     let days: Vec<u64> = (0..200u64).filter(|_| rng.random::<f64>() < 0.3).collect();
-    let mut permit = GenericParkingPermit::with_threshold(permits(), 0.37);
+    let mut permit = Driver::new(
+        GenericParkingPermit::with_threshold(permits(), 0.37),
+        permits(),
+    );
     for &t in &days {
-        permit.serve_demand(t);
+        permit.submit(t, ()).unwrap();
     }
     let opt = ppp_offline::optimal_cost_interval_model(&permits(), &days);
-    let cert = permit.certificate();
+    let cert = permit.algorithm().certificate();
     assert!(
         cert.lower_bound <= opt + 1e-9,
         "permit: {} > {opt}",
@@ -144,14 +147,14 @@ fn parking_permit_expected_costs_agree() {
     for seed in 0..trials {
         let mut r1 = seeded(seed);
         let mut r2 = seeded(seed);
-        let mut spec = RandomizedPermit::new(permits(), &mut r1);
-        let mut gen = GenericParkingPermit::new(permits(), &mut r2);
+        let mut spec = Driver::new(RandomizedPermit::new(permits(), &mut r1), permits());
+        let mut gen = Driver::new(GenericParkingPermit::new(permits(), &mut r2), permits());
         for &t in &days {
-            spec.serve_demand(t);
-            gen.serve_demand(t);
+            spec.submit(t, ()).unwrap();
+            gen.submit(t, ()).unwrap();
         }
-        spec_total += PermitOnline::total_cost(&spec);
-        gen_total += PermitOnline::total_cost(&gen);
+        spec_total += spec.cost();
+        gen_total += gen.cost();
     }
     assert!((spec_total - gen_total).abs() < 1e-9);
 }

@@ -2,9 +2,10 @@
 //! crate, the type-erased [`EngineHandle`] and the generic
 //! [`LeasingAlgorithm`]/[`Driver`] path must produce **bit-identical**
 //! costs and decision traces — both flow through the same core step, so
-//! any divergence is a handle-plumbing bug. The permit algorithms, whose
-//! `PermitOnline::serve_demand` composition interface keeps its own
-//! ledger, are additionally pinned against it.
+//! any divergence is a handle-plumbing bug. Only a [`Driver`] owns a
+//! ledger: composite algorithms (per-edge and per-facility permits, the
+//! `SwitchCombiner`'s simulations) record into, or simulate on, drivers
+//! too, so every path here ends in one driver-owned ledger.
 
 use online_resource_leasing::core::engine::{Driver, DriverError, EngineHandle, Ledger};
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
@@ -73,34 +74,45 @@ proptest! {
     #[test]
     fn deterministic_permit_paths_are_bit_identical(seed in 0u64..400, density in 0.1f64..0.9) {
         use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
-        use online_resource_leasing::parking_permit::PermitOnline;
         let days = demand_days(seed, 64, density);
-        let mut legacy = DeterministicPrimalDual::new(structure());
-        for &t in &days {
-            legacy.serve_demand(t);
-        }
+        let mut handle = EngineHandle::new(DeterministicPrimalDual::new(structure()), structure());
+        handle.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
         let mut driver = Driver::new(DeterministicPrimalDual::new(structure()), structure());
         driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
-        assert_equivalent(legacy.ledger(), driver.ledger());
-        prop_assert_eq!(
-            PermitOnline::total_cost(&legacy).to_bits(),
-            driver.cost().to_bits()
-        );
+        assert_equivalent(handle.ledger(), driver.ledger());
+        prop_assert_eq!(handle.cost().to_bits(), driver.cost().to_bits());
     }
 
     #[test]
     fn randomized_permit_paths_are_bit_identical(seed in 0u64..300, tau in 0.01f64..1.0) {
         use online_resource_leasing::parking_permit::rand_alg::RandomizedPermit;
-        use online_resource_leasing::parking_permit::PermitOnline;
         let days = demand_days(seed, 48, 0.4);
-        let mut legacy = RandomizedPermit::with_threshold(structure(), tau);
-        for &t in &days {
-            legacy.serve_demand(t);
-        }
+        let mut handle =
+            EngineHandle::new(RandomizedPermit::with_threshold(structure(), tau), structure());
+        handle.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
         let mut driver =
             Driver::new(RandomizedPermit::with_threshold(structure(), tau), structure());
         driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
-        assert_equivalent(legacy.ledger(), driver.ledger());
+        assert_equivalent(handle.ledger(), driver.ledger());
+    }
+
+    #[test]
+    fn generic_permit_paths_are_bit_identical(seed in 0u64..300, tau in 0.01f64..1.0) {
+        use online_resource_leasing::covering::{GenericDeterministicPermit, GenericParkingPermit};
+        let days = demand_days(seed, 48, 0.4);
+        let mut handle =
+            EngineHandle::new(GenericParkingPermit::with_threshold(structure(), tau), structure());
+        handle.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
+        let mut driver =
+            Driver::new(GenericParkingPermit::with_threshold(structure(), tau), structure());
+        driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
+
+        let mut handle = EngineHandle::new(GenericDeterministicPermit::new(structure()), structure());
+        handle.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
+        let mut driver = Driver::new(GenericDeterministicPermit::new(structure()), structure());
+        driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
     }
 
     #[test]
@@ -384,24 +396,50 @@ proptest! {
 
     #[test]
     fn stochastic_policy_paths_are_bit_identical(seed in 0u64..200, p in 0.05f64..0.95) {
-        use online_resource_leasing::parking_permit::PermitOnline;
         use online_resource_leasing::stochastic::policies::{EmpiricalRate, RateThreshold};
         let days = demand_days(seed, 64, p);
-        let mut legacy = RateThreshold::new(structure(), p);
-        for &t in &days {
-            legacy.serve_demand(t);
-        }
+        let mut handle = EngineHandle::new(RateThreshold::new(structure(), p), structure());
+        handle.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
         let mut driver = Driver::new(RateThreshold::new(structure(), p), structure());
         driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
-        assert_equivalent(legacy.ledger(), driver.ledger());
+        assert_equivalent(handle.ledger(), driver.ledger());
 
-        let mut legacy = EmpiricalRate::new(structure());
-        for &t in &days {
-            legacy.serve_demand(t);
-        }
+        let mut handle = EngineHandle::new(EmpiricalRate::new(structure()), structure());
+        handle.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
         let mut driver = Driver::new(EmpiricalRate::new(structure()), structure());
         driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
-        assert_equivalent(legacy.ledger(), driver.ledger());
+        assert_equivalent(handle.ledger(), driver.ledger());
+    }
+
+    #[test]
+    fn switch_combiner_paths_are_bit_identical(seed in 0u64..200, p in 0.05f64..0.95) {
+        use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
+        use online_resource_leasing::stochastic::policies::{RateThreshold, SwitchCombiner};
+        let combiner = || {
+            SwitchCombiner::new(
+                structure(),
+                RateThreshold::new(structure(), p),
+                DeterministicPrimalDual::new(structure()),
+            )
+        };
+        let days = demand_days(seed, 64, 0.5);
+        let mut handle = EngineHandle::new(combiner(), structure());
+        handle.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
+        let mut driver = Driver::new(combiner(), structure());
+        driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
+    }
+
+    #[test]
+    fn price_aware_permit_paths_are_bit_identical(seed in 0u64..200, vol in 0.0f64..0.5) {
+        use online_resource_leasing::stochastic::prices::{PriceAwarePermit, PricePath};
+        let prices = PricePath::sample(&mut seeded(seed ^ 0x5EED), 64, vol, 0.5, 2.0);
+        let days = demand_days(seed, 64, 0.4);
+        let mut handle = EngineHandle::new(PriceAwarePermit::new(structure(), &prices), structure());
+        handle.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
+        let mut driver = Driver::new(PriceAwarePermit::new(structure(), &prices), structure());
+        driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
     }
 
     #[test]

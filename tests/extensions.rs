@@ -17,7 +17,7 @@ use online_resource_leasing::facility::instance::FacilityInstance;
 use online_resource_leasing::facility::metric::Point;
 use online_resource_leasing::facility::offline as fac_offline;
 use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
-use online_resource_leasing::parking_permit::{offline as pp_offline, PermitOnline};
+use online_resource_leasing::parking_permit::offline as pp_offline;
 use online_resource_leasing::stochastic::demand::{Bernoulli, DemandProcess, MarkovModulated};
 use online_resource_leasing::stochastic::policies::RateThreshold;
 use online_resource_leasing::stochastic::prices::{optimal_cost_priced, PricePath};
@@ -194,16 +194,16 @@ fn stochastic_policies_respect_offline_bounds() {
             continue;
         }
         let opt = pp_offline::optimal_cost_interval_model(&s, &days);
-        let mut informed = RateThreshold::new(s.clone(), 0.5);
-        let mut worst_case = DeterministicPrimalDual::new(s.clone());
+        let mut informed = Driver::new(RateThreshold::new(s.clone(), 0.5), s.clone());
+        let mut worst_case = Driver::new(DeterministicPrimalDual::new(s.clone()), s.clone());
         for &t in &days {
-            informed.serve_demand(t);
-            worst_case.serve_demand(t);
+            informed.submit(t, ()).unwrap();
+            worst_case.submit(t, ()).unwrap();
         }
-        assert!(PermitOnline::total_cost(&informed) >= opt - 1e-6);
-        assert!(PermitOnline::total_cost(&worst_case) >= opt - 1e-6);
+        assert!(informed.cost() >= opt - 1e-6);
+        assert!(worst_case.cost() >= opt - 1e-6);
         assert!(
-            PermitOnline::total_cost(&worst_case) <= s.num_types() as f64 * opt + 1e-6,
+            worst_case.cost() <= s.num_types() as f64 * opt + 1e-6,
             "Theorem 2.7 bound must hold on stochastic inputs too"
         );
     }

@@ -13,7 +13,6 @@ use online_resource_leasing::graph_cover::vertex_cover::{
 };
 use online_resource_leasing::graph_cover::{dominating_set_instance, vertex_cover_instance};
 use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
-use online_resource_leasing::parking_permit::PermitOnline;
 use online_resource_leasing::set_cover::offline as sc_offline;
 use online_resource_leasing::set_cover::online::{is_feasible_cover, SmclOnline};
 use online_resource_leasing::steiner::instance::{PairRequest, SteinerInstance};
@@ -38,14 +37,15 @@ fn steiner_on_one_edge_is_parking_permit() {
     steiner.submit_batch(inst.online_requests()).unwrap();
     let steiner_cost = steiner.cost();
 
-    let mut permit = DeterministicPrimalDual::new(inst.scaled_structure(0));
+    let scaled = inst.scaled_structure(0);
+    let mut permit = Driver::new(DeterministicPrimalDual::new(scaled.clone()), scaled);
     for &t in &days {
-        permit.serve_demand(t);
+        permit.submit(t, ()).unwrap();
     }
     assert!(
-        (steiner_cost - PermitOnline::total_cost(&permit)).abs() < 1e-9,
+        (steiner_cost - permit.cost()).abs() < 1e-9,
         "steiner {steiner_cost} vs permit {}",
-        PermitOnline::total_cost(&permit)
+        permit.cost()
     );
 }
 

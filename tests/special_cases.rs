@@ -9,7 +9,7 @@ use online_resource_leasing::deadlines::old::{OldClient, OldInstance, OldPrimalD
 use online_resource_leasing::deadlines::scld::{ScldArrival, ScldInstance};
 use online_resource_leasing::engine::Driver;
 use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
-use online_resource_leasing::parking_permit::{offline as pp_offline, PermitOnline};
+use online_resource_leasing::parking_permit::offline as pp_offline;
 use online_resource_leasing::set_cover::instance::{Arrival, SmclInstance};
 use online_resource_leasing::set_cover::offline as sc_offline;
 use online_resource_leasing::set_cover::system::SetSystem;
@@ -34,9 +34,9 @@ fn old_with_zero_slack_equals_parking_permit() {
         if days.is_empty() {
             continue;
         }
-        let mut permit = DeterministicPrimalDual::new(structure());
+        let mut permit = Driver::new(DeterministicPrimalDual::new(structure()), structure());
         for &t in &days {
-            permit.serve_demand(t);
+            permit.submit(t, ()).unwrap();
         }
         let clients: Vec<OldClient> = days.iter().map(|&t| OldClient::new(t, 0)).collect();
         let old_inst = OldInstance::new(structure(), clients).unwrap();
@@ -44,10 +44,10 @@ fn old_with_zero_slack_equals_parking_permit() {
         old.submit_batch(old_inst.online_requests()).unwrap();
         let old_cost = old.cost();
         assert!(
-            (old_cost - PermitOnline::total_cost(&permit)).abs() < 1e-9,
+            (old_cost - permit.cost()).abs() < 1e-9,
             "trial {trial}: OLD {} vs permit {}",
             old_cost,
-            PermitOnline::total_cost(&permit)
+            permit.cost()
         );
     }
 }
