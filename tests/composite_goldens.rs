@@ -187,3 +187,38 @@ fn adaptive_adversary_demands_and_cost_match_golden() {
     );
     assert_matches_golden("adaptive-adversary.json", &text);
 }
+
+/// The combiner over lease lengths that do not divide each other. A
+/// long-lease prediction pays 3 per isolated demand where the primal-dual
+/// pays 1, so the primal-dual leads; each later pair of demands in one
+/// aligned 3-day window makes it buy a day lease and a 3-day lease in the
+/// same step, and the combiner must replicate the first of the two.
+#[test]
+fn switch_combiner_over_non_nested_lengths_matches_golden() {
+    let s = LeaseStructure::new(vec![
+        LeaseType::new(1, 1.0),
+        LeaseType::new(3, 2.0),
+        LeaseType::new(5, 3.0),
+    ])
+    .unwrap();
+    let combiner = SwitchCombiner::new(
+        s.clone(),
+        RateThreshold::new(s.clone(), 1.0),
+        DeterministicPrimalDual::new(s.clone()),
+    );
+    let isolated = (0..10u64).map(|i| 10 * i);
+    let pairs = (0..10u64).flat_map(|i| [102 + 9 * i, 103 + 9 * i]);
+    let mut driver = Driver::new(combiner, s);
+    driver
+        .submit_batch(isolated.chain(pairs).map(|t| (t, ())))
+        .unwrap();
+    let (a, b) = driver.algorithm().inner_costs();
+    let text = format!(
+        "{{\"switches\":{},\"inner_cost_bits\":[{},{}],\"ledger\":{}}}",
+        driver.algorithm().switches(),
+        a.to_bits(),
+        b.to_bits(),
+        driver.ledger().to_json()
+    );
+    assert_matches_golden("switch-combiner-non-nested.json", &text);
+}
