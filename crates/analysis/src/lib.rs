@@ -10,11 +10,11 @@
 //!
 //! * **`determinism`** — std `HashMap`/`HashSet` (randomized iteration
 //!   order), `Instant`/`SystemTime` (wall clock), and `thread_rng`
-//!   (ambient randomness) are banned in the deterministic-output paths
-//!   ([`rules::DETERMINISTIC_PATHS`]: `crates/core/src`,
-//!   `crates/simlab/src`, `crates/oracle/src`, `crates/bench/src/gate.rs`).
+//!   (ambient randomness) are banned in every library file.
 //!   `HashMap<K, V, S>` with an explicit hasher (the engine's
-//!   deterministic `FxHashMap` alias) is allowed.
+//!   deterministic `FxHashMap` alias) is allowed. The clock check alone
+//!   skips [`rules::CLOCK_EXEMPT_PATHS`], the telemetry layer that owns
+//!   the `Stopwatch`.
 //! * **`panic`** — `.unwrap()`/`.expect()`, the `panic!` macro family
 //!   (`panic!`, `unreachable!`, `todo!`, `unimplemented!`, `assert!`,
 //!   `assert_eq!`, `assert_ne!`), and slice/array indexing are flagged in

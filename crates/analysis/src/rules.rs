@@ -11,18 +11,6 @@ use crate::report::Finding;
 use std::collections::BTreeMap;
 use syn::{Token, TokenKind};
 
-/// Path prefixes (and exact files) whose output must be bit-deterministic:
-/// the engine + ledger, the SimLab harness, the offline oracles, and the
-/// bench regression gate. The full `determinism` family applies only
-/// here; the narrower wall-clock check additionally covers every library
-/// file outside [`CLOCK_EXEMPT_PATHS`].
-pub const DETERMINISTIC_PATHS: &[&str] = &[
-    "crates/core/src/",
-    "crates/simlab/src/",
-    "crates/oracle/src/",
-    "crates/bench/src/gate.rs",
-];
-
 /// The flat-arena engine directory where narrowing `as` casts must be
 /// `try_into` or carry a documented-bound waiver.
 pub const ENGINE_HOT_PATH: &str = "crates/core/src/engine/";
@@ -30,15 +18,17 @@ pub const ENGINE_HOT_PATH: &str = "crates/core/src/engine/";
 /// Path prefixes (and exact files) allowed to name wall-clock types
 /// (`Instant` / `SystemTime`) in library code: the telemetry crate, which
 /// owns the `Stopwatch` abstraction, and the daemon's metrics module,
-/// which renders operational timings. Everywhere else library code must
-/// route timing through `leasing_telemetry::Stopwatch` so determinism
-/// stays auditable at the token level.
+/// which renders operational timings. Only the clock check is lifted
+/// here; the rest of the `determinism` family still applies. Everywhere
+/// else library code must route timing through
+/// `leasing_telemetry::Stopwatch` so determinism stays auditable at the
+/// token level.
 pub const CLOCK_EXEMPT_PATHS: &[&str] = &["crates/telemetry/src/", "crates/leased/src/metrics.rs"];
 
 /// A rule family.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Family {
-    /// Nondeterministic containers / clocks / RNG in deterministic paths.
+    /// Nondeterministic containers / clocks / RNG in library code.
     Determinism,
     /// Panicking constructs in library code.
     Panic,
@@ -78,16 +68,13 @@ impl Family {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FileClass {
     /// Non-test, non-bench, non-binary library code (`src/**` minus
-    /// `src/bin/**`): the `panic` family applies.
+    /// `src/bin/**`): the `panic` and `determinism` families apply.
     pub library: bool,
-    /// Library code in a deterministic-output path: `determinism` applies.
-    pub deterministic: bool,
     /// Library code in the engine hot path: `cast` applies.
     pub engine: bool,
-    /// Library code outside both the deterministic paths and the
-    /// clock-exempt telemetry layer: wall-clock types are flagged
-    /// (`determinism` family) so `Stopwatch` stays the only timing API.
-    pub wall_clock: bool,
+    /// A [`CLOCK_EXEMPT_PATHS`] file: the `determinism` family skips its
+    /// clock check.
+    pub clock_exempt: bool,
 }
 
 /// Classifies a root-relative path (forward slashes). The `unsafe` family
@@ -99,14 +86,6 @@ pub fn classify(rel: &str) -> FileClass {
     let in_src = rel.starts_with("src/") || rel.contains("/src/");
     let in_bin = rel.starts_with("src/bin/") || rel.contains("/src/bin/");
     let library = in_src && !in_bin && !non_library_dir;
-    let deterministic = library
-        && DETERMINISTIC_PATHS.iter().any(|p| {
-            if p.ends_with(".rs") {
-                rel == *p
-            } else {
-                rel.starts_with(p)
-            }
-        });
     let engine = library && rel.starts_with(ENGINE_HOT_PATH);
     let clock_exempt = CLOCK_EXEMPT_PATHS.iter().any(|p| {
         if p.ends_with(".rs") {
@@ -115,15 +94,10 @@ pub fn classify(rel: &str) -> FileClass {
             rel.starts_with(p)
         }
     });
-    // Deterministic paths already flag clocks via the full determinism
-    // rule; `wall_clock` extends just the clock check to the rest of the
-    // library surface, minus the telemetry layer that owns the clock.
-    let wall_clock = library && !deterministic && !clock_exempt;
     FileClass {
         library,
-        deterministic,
         engine,
-        wall_clock,
+        clock_exempt,
     }
 }
 
@@ -191,24 +165,8 @@ pub fn scan_source(rel: &str, source: &str) -> Result<ScanOutcome, syn::Error> {
         let prev = i.checked_sub(1).and_then(|j| sig.get(j).copied());
         let next = sig.get(i + 1).copied();
 
-        if class.deterministic {
-            determinism_rule(&sig, i, token, next, &mut raw);
-        }
-        if class.wall_clock && (token.is_ident("Instant") || token.is_ident("SystemTime")) {
-            raw.push((
-                Family::Determinism,
-                line,
-                column,
-                format!(
-                    "`{}` reads the wall clock in library code; only crates/telemetry and \
-                     the daemon metrics module may name clock types — route timing through \
-                     leasing_telemetry::Stopwatch",
-                    token.text
-                ),
-                token.text.clone(),
-            ));
-        }
         if class.library {
+            determinism_rule(&sig, i, token, next, class.clock_exempt, &mut raw);
             panic_rule(token, prev, next, &mut raw);
         }
         if class.engine && token.is_ident("as") {
@@ -253,6 +211,7 @@ fn determinism_rule(
     i: usize,
     token: &Token,
     next: Option<&Token>,
+    clock_exempt: bool,
     raw: &mut Vec<(Family, usize, usize, String, String)>,
 ) {
     let (line, column) = (token.span.line, token.span.column);
@@ -287,13 +246,15 @@ fn determinism_rule(
                 token.text.clone(),
             ));
         }
-    } else if token.is_ident("Instant") || token.is_ident("SystemTime") {
+    } else if (token.is_ident("Instant") || token.is_ident("SystemTime")) && !clock_exempt {
         raw.push((
             Family::Determinism,
             line,
             column,
             format!(
-                "`{}` reads the wall clock in a deterministic-output path",
+                "`{}` reads the wall clock in library code; only crates/telemetry and \
+                 the daemon metrics module may name clock types — route timing through \
+                 leasing_telemetry::Stopwatch",
                 token.text
             ),
             token.text.clone(),
@@ -528,31 +489,56 @@ mod tests {
     #[test]
     fn classification_by_path() {
         assert!(classify("crates/core/src/engine/ledger.rs").engine);
-        assert!(classify("crates/core/src/engine/ledger.rs").deterministic);
-        assert!(classify("crates/simlab/src/runner.rs").deterministic);
-        assert!(classify("crates/bench/src/gate.rs").deterministic);
-        assert!(!classify("crates/bench/src/table.rs").deterministic);
+        assert!(classify("crates/core/src/engine/ledger.rs").library);
+        assert!(classify("crates/bench/src/gate.rs").library);
         assert!(!classify("crates/bench/src/bin/simlab.rs").library);
         assert!(!classify("crates/core/tests/engine.rs").library);
         assert!(!classify("crates/bench/benches/bench_driver.rs").library);
         assert!(!classify("examples/quickstart.rs").library);
         assert!(classify("src/lib.rs").library);
-        assert!(!classify("src/lib.rs").deterministic);
+        assert!(!classify("src/lib.rs").engine);
     }
 
     #[test]
     fn wall_clock_class_covers_library_code_minus_the_telemetry_layer() {
         // Ordinary library code: the clock check applies.
-        assert!(classify("crates/leased/src/server.rs").wall_clock);
-        assert!(classify("crates/facility/src/lib.rs").wall_clock);
+        for rel in [
+            "crates/leased/src/server.rs",
+            "crates/facility/src/lib.rs",
+            "crates/core/src/engine/ledger.rs",
+        ] {
+            let class = classify(rel);
+            assert!(class.library && !class.clock_exempt, "{rel}");
+        }
         // The telemetry crate and the daemon metrics module own the clock.
-        assert!(!classify("crates/telemetry/src/clock.rs").wall_clock);
-        assert!(!classify("crates/leased/src/metrics.rs").wall_clock);
-        // Deterministic paths are covered by the full determinism rule
-        // instead, and non-library code is out of scope entirely.
-        assert!(!classify("crates/core/src/engine/ledger.rs").wall_clock);
-        assert!(!classify("crates/bench/src/bin/loadgen.rs").wall_clock);
-        assert!(!classify("crates/leased/tests/daemon.rs").wall_clock);
+        assert!(classify("crates/telemetry/src/clock.rs").clock_exempt);
+        assert!(classify("crates/leased/src/metrics.rs").clock_exempt);
+        // Non-library code is out of scope entirely.
+        assert!(!classify("crates/bench/src/bin/loadgen.rs").library);
+        assert!(!classify("crates/leased/tests/daemon.rs").library);
+    }
+
+    #[test]
+    fn determinism_family_covers_every_library_file() {
+        // Algorithm crates and the daemon get the whole family.
+        let src = "fn f() { let m: HashMap<u32, u32> = HashMap::new(); let t = Instant::now(); }";
+        for rel in [
+            "crates/facility/src/online.rs",
+            "crates/leased/src/server.rs",
+        ] {
+            let class = classify(rel);
+            assert!(class.library && !class.clock_exempt, "{rel}");
+            assert_eq!(slugs(&scan(rel, src)), vec!["determinism"; 3], "{rel}");
+        }
+        // The telemetry clock is exempt from the clock check only.
+        assert!(classify("crates/telemetry/src/clock.rs").clock_exempt);
+        let outcome = scan("crates/telemetry/src/clock.rs", src);
+        let excerpts: Vec<&str> = outcome
+            .findings
+            .iter()
+            .map(|f| f.excerpt.as_str())
+            .collect();
+        assert_eq!(excerpts, vec!["HashMap"; 2]);
     }
 
     #[test]
@@ -587,8 +573,8 @@ mod tests {
         // Flagged: the bare import, the annotated binding, `HashMap::new`.
         // Allowed: both three-argument forms and the turbofish.
         assert_eq!(slugs(&outcome), vec!["determinism"; 3]);
-        let out_of_path = scan("crates/facility/src/x.rs", src);
-        assert_eq!(out_of_path.findings, Vec::new());
+        // Binaries are out of scope.
+        assert_eq!(scan("crates/bench/src/bin/x.rs", src).findings, Vec::new());
     }
 
     #[test]

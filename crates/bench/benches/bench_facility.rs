@@ -34,8 +34,9 @@ fn bench_primal_dual(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("greedy", name), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = GreedyLease::new(inst);
-                black_box(alg.run())
+                let mut driver = Driver::new(GreedyLease::new(inst), inst.structure().clone());
+                driver.submit_batch(inst.online_requests()).unwrap();
+                black_box(driver.cost())
             })
         });
         group.bench_with_input(BenchmarkId::new("nw", name), &inst, |b, inst| {

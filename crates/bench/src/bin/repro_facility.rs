@@ -85,8 +85,11 @@ fn main() {
             pd.submit_batch(inst.online_requests())
                 .expect("batches arrive in time order");
             pd_stats.push(pd.cost() / opt);
-            let mut greedy = GreedyLease::new(&inst);
-            greedy_stats.push(greedy.run() / opt);
+            let mut greedy = Driver::new(GreedyLease::new(&inst), inst.structure().clone());
+            greedy
+                .submit_batch(inst.online_requests())
+                .expect("batches arrive in time order");
+            greedy_stats.push(greedy.cost() / opt);
         }
         let bound = 4.0 * (3.0 + k) * h_val;
         table::row(

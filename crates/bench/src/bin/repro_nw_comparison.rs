@@ -96,7 +96,7 @@ fn main() {
             }
             thesis.push(online_cost(PrimalDualFacility::new(&inst), &inst) / opt);
             nw.push(online_cost(NagarajanWilliamson::new(&inst), &inst) / opt);
-            greedy.push(GreedyLease::new(&inst).run() / opt);
+            greedy.push(online_cost(GreedyLease::new(&inst), &inst) / opt);
         }
         table::row(
             &[
@@ -138,7 +138,7 @@ fn main() {
             }
             thesis.push(online_cost(PrimalDualFacility::new(&inst), &inst) / opt);
             nw.push(online_cost(NagarajanWilliamson::new(&inst), &inst) / opt);
-            greedy.push(GreedyLease::new(&inst).run() / opt);
+            greedy.push(online_cost(GreedyLease::new(&inst), &inst) / opt);
         }
         table::row(
             &[

@@ -33,12 +33,14 @@ use rand::RngExt;
 const SEED: u64 = 58001;
 const TRIALS: u64 = 5;
 
-/// Drives `alg` over every client of `inst`; returns its cost.
+/// Drives `alg` over every client of `inst`, checks that the run is
+/// feasible, and returns its cost.
 fn window_cost(alg: &mut WindowPrimalDual<'_>, inst: &WindowInstance) -> f64 {
     let mut driver = Driver::new(alg, inst.structure.clone());
     driver
         .submit_batch(inst.online_requests())
         .expect("clients arrive in time order");
+    assert!(is_feasible(inst, driver.ledger()));
     driver.cost()
 }
 
@@ -75,7 +77,6 @@ fn main() {
             }
             let mut alg = WindowPrimalDual::new(&inst);
             let cost = window_cost(&mut alg, &inst);
-            assert!(is_feasible(&inst, alg.purchases()));
             stats.push(cost / opt);
         }
         table::row(
@@ -165,7 +166,6 @@ fn main() {
             }
             let mut alg = WindowPrimalDual::new(&inst);
             let cost = window_cost(&mut alg, &inst);
-            assert!(is_feasible(&inst, alg.purchases()));
             stats.push(cost / opt);
             dual_stats.push(alg.dual_value() / opt);
         }

@@ -5,7 +5,7 @@ use crate::instance::CapacitatedInstance;
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_lp::{Cmp, IntegerProgram, LinearProgram};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Builds the capacitated ILP: the uncapacitated program of Figure 4.1 with
 /// one extra constraint `Σ_{j ∈ D_t} y_{ij} ≤ cap_i` per facility and batch.
@@ -14,7 +14,7 @@ pub fn build_ilp(instance: &CapacitatedInstance) -> (IntegerProgram, Vec<Triple>
     let base = &instance.base;
     let structure = base.structure();
     let mut lp = LinearProgram::new();
-    let mut x_of: HashMap<Triple, usize> = HashMap::new();
+    let mut x_of: BTreeMap<Triple, usize> = BTreeMap::new();
     let mut triples: Vec<Triple> = Vec::new();
 
     for b in base.batches() {

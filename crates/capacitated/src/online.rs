@@ -1,11 +1,10 @@
 //! Online greedy algorithms for capacitated facility leasing.
 
 use crate::instance::CapacitatedInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGORY_LEASE};
+use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_covering;
 use leasing_core::time::TimeStep;
-use std::collections::HashSet;
 
 /// How the greedy picks a lease type when opening a facility.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -29,7 +28,6 @@ pub enum LeaseChoice {
 pub struct CapacitatedGreedy<'a> {
     instance: &'a CapacitatedInstance,
     choice: LeaseChoice,
-    owned: HashSet<Triple>,
     /// `(client, facility)` assignment log.
     assignments: Vec<(usize, usize)>,
 }
@@ -40,7 +38,6 @@ impl<'a> CapacitatedGreedy<'a> {
         CapacitatedGreedy {
             instance,
             choice,
-            owned: HashSet::new(),
             assignments: Vec::new(),
         }
     }
@@ -80,7 +77,6 @@ impl<'a> CapacitatedGreedy<'a> {
             let (_, i, new_lease) =
                 best.expect("validated instances always leave an available facility");
             if let Some(triple) = new_lease {
-                self.owned.insert(triple);
                 books.buy_priced(t, triple, base.cost(i, triple.type_index), CATEGORY_LEASE);
             }
             books.charge(t, i, base.distance(i, j), CATEGORY_CONNECTION);
@@ -92,11 +88,6 @@ impl<'a> CapacitatedGreedy<'a> {
     /// `(client, facility)` assignments in service order.
     pub fn assignments(&self) -> &[(usize, usize)] {
         &self.assignments
-    }
-
-    /// The leases bought so far.
-    pub fn owned(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
     }
 
     fn pick_lease(&self, i: usize) -> (usize, f64) {
@@ -126,17 +117,17 @@ impl<'a> LeasingAlgorithm for CapacitatedGreedy<'a> {
     }
 }
 
-/// Whether `assignments` (paired with the bought `owned` leases) is a valid
-/// capacitated solution: every client is assigned to a facility that is
-/// active at the client's arrival step, and no facility exceeds its per-step
-/// capacity.
+/// Whether `assignments` (paired with the leases bought in `ledger`) is a
+/// valid capacitated solution: every client is assigned to a facility that
+/// is active at the client's arrival step, and no facility exceeds its
+/// per-step capacity. The ledger must be uncompacted, so that its coverage
+/// still reaches back to the first batch.
 pub fn is_feasible_assignment(
     instance: &CapacitatedInstance,
-    owned: &HashSet<Triple>,
+    ledger: &Ledger,
     assignments: &[(usize, usize)],
 ) -> bool {
     let base = &instance.base;
-    let structure = base.structure();
     // Client -> assigned facility (every client exactly once).
     let mut assigned = vec![None; base.num_clients()];
     for &(j, i) in assignments {
@@ -151,10 +142,7 @@ pub fn is_feasible_assignment(
             let Some(Some(i)) = assigned.get(j).copied() else {
                 return false;
             };
-            let active = owned
-                .iter()
-                .any(|tr| tr.element == i && tr.covers(structure, batch.time));
-            if !active {
+            if !ledger.covered(i, batch.time) {
                 return false;
             }
             usage[i] += 1;
@@ -171,8 +159,9 @@ mod tests {
     use super::*;
     use facility_leasing::instance::FacilityInstance;
     use facility_leasing::metric::Point;
-    use leasing_core::engine::{Driver, Ledger};
+    use leasing_core::engine::Driver;
     use leasing_core::lease::{LeaseStructure, LeaseType};
+    use std::collections::BTreeSet;
 
     /// Drives `alg` over every batch of `inst`; returns the driver's ledger.
     fn drive(alg: &mut CapacitatedGreedy<'_>, inst: &CapacitatedInstance) -> Ledger {
@@ -201,11 +190,10 @@ mod tests {
     fn single_client_opens_the_nearest_facility() {
         let inst = two_facility_instance(&[1], 1);
         let mut alg = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal);
-        let cost = drive(&mut alg, &inst).total_cost();
-        assert!((cost - 1.0).abs() < 1e-9); // short lease at the co-located site
+        let ledger = drive(&mut alg, &inst);
+        assert!((ledger.total_cost() - 1.0).abs() < 1e-9); // short lease at the co-located site
         assert_eq!(alg.assignments(), &[(0, 0)]);
-        let owned: HashSet<Triple> = alg.owned().copied().collect();
-        assert!(is_feasible_assignment(&inst, &owned, alg.assignments()));
+        assert!(is_feasible_assignment(&inst, &ledger, alg.assignments()));
     }
 
     #[test]
@@ -214,11 +202,10 @@ mod tests {
         // remote facility even though it is farther.
         let inst = two_facility_instance(&[2], 1);
         let mut alg = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal);
-        drive(&mut alg, &inst);
-        let facilities: HashSet<usize> = alg.assignments().iter().map(|&(_, i)| i).collect();
+        let ledger = drive(&mut alg, &inst);
+        let facilities: BTreeSet<usize> = alg.assignments().iter().map(|&(_, i)| i).collect();
         assert_eq!(facilities.len(), 2, "both facilities must serve");
-        let owned: HashSet<Triple> = alg.owned().copied().collect();
-        assert!(is_feasible_assignment(&inst, &owned, alg.assignments()));
+        assert!(is_feasible_assignment(&inst, &ledger, alg.assignments()));
     }
 
     #[test]
@@ -227,7 +214,7 @@ mod tests {
         let inst = two_facility_instance(&[1, 1], 1);
         let mut alg = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal);
         drive(&mut alg, &inst);
-        let facilities: HashSet<usize> = alg.assignments().iter().map(|&(_, i)| i).collect();
+        let facilities: BTreeSet<usize> = alg.assignments().iter().map(|&(_, i)| i).collect();
         assert_eq!(facilities.len(), 1, "the same facility serves both steps");
     }
 
@@ -258,11 +245,11 @@ mod tests {
     #[test]
     fn feasibility_checker_rejects_overload() {
         let inst = two_facility_instance(&[2], 1);
-        let mut owned = HashSet::new();
-        owned.insert(Triple::new(0, 1, 0)); // long lease at facility 0
-                                            // Both clients at facility 0 exceeds capacity 1.
-        assert!(!is_feasible_assignment(&inst, &owned, &[(0, 0), (1, 0)]));
+        let mut ledger = Ledger::new(structure());
+        // A long lease at facility 0; both clients there exceed capacity 1.
+        ledger.buy(0, Triple::new(0, 1, 0));
+        assert!(!is_feasible_assignment(&inst, &ledger, &[(0, 0), (1, 0)]));
         // Unassigned client is also infeasible.
-        assert!(!is_feasible_assignment(&inst, &owned, &[(0, 0)]));
+        assert!(!is_feasible_assignment(&inst, &ledger, &[(0, 0)]));
     }
 }

@@ -91,9 +91,7 @@ mod tests {
     use crate::offline::optimal_cost;
     use crate::online::{is_feasible_assignment, CapacitatedGreedy, LeaseChoice};
     use leasing_core::engine::Driver;
-    use leasing_core::framework::Triple;
     use leasing_core::lease::LeaseType;
-    use std::collections::HashSet;
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -153,8 +151,11 @@ mod tests {
         let mut driver = Driver::new(&mut alg, inst.base.structure().clone());
         driver.submit_batch(inst.base.online_requests()).unwrap();
         assert!(driver.cost() > 0.0);
-        let owned: HashSet<Triple> = alg.owned().copied().collect();
-        assert!(is_feasible_assignment(&inst, &owned, alg.assignments()));
+        assert!(is_feasible_assignment(
+            &inst,
+            driver.ledger(),
+            driver.algorithm().assignments()
+        ));
     }
 
     #[test]

@@ -7,12 +7,10 @@ use capacitated_facility::online::{is_feasible_assignment, CapacitatedGreedy, Le
 use facility_leasing::instance::FacilityInstance;
 use facility_leasing::metric::Point;
 use leasing_core::engine::{Driver, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
-use leasing_core::framework::Triple;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use proptest::prelude::*;
 use rand::RngExt;
-use std::collections::HashSet;
 
 /// Drives `alg` over every batch of `inst`; returns the driver's ledger.
 fn drive<A: LeasingAlgorithm<Request = Vec<usize>>>(alg: A, inst: &CapacitatedInstance) -> Ledger {
@@ -60,8 +58,7 @@ proptest! {
             let ledger = drive(&mut alg, &inst);
             let cost = ledger.total_cost();
             prop_assert!(cost > 0.0);
-            let owned: HashSet<Triple> = alg.owned().copied().collect();
-            prop_assert!(is_feasible_assignment(&inst, &owned, alg.assignments()),
+            prop_assert!(is_feasible_assignment(&inst, &ledger, alg.assignments()),
                 "{choice:?} infeasible");
             // Connection + leasing split sums to the total.
             let split = ledger.category_cost(CATEGORY_LEASE) + ledger.category_cost(CATEGORY_CONNECTION);

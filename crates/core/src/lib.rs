@@ -16,8 +16,7 @@
 //!   typed monotone-time errors, and the [`Report`] summary,
 //! * [`harness`] — competitive-ratio accounting used by all experiments,
 //! * [`rng`] — seeded randomness helpers (e.g. the min-of-`q`-uniforms
-//!   thresholds used by the randomized rounding schemes in Chapters 3 and 5),
-//! * [`ski_rental`] — the classic ski-rental problem (`K = 2` warm-up).
+//!   thresholds used by the randomized rounding schemes in Chapters 3 and 5).
 //!
 //! # Example
 //!
@@ -46,7 +45,6 @@ pub mod harness;
 pub mod interval;
 pub mod lease;
 pub mod rng;
-pub mod ski_rental;
 pub mod time;
 
 pub use cost::CostMeter;

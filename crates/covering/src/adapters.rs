@@ -29,7 +29,7 @@ use leasing_deadlines::scld::{ScldArrival, ScldInstance};
 use parking_permit::PERMIT_ELEMENT;
 use rand::{Rng, RngExt};
 use set_cover_leasing::instance::SmclInstance;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Algorithm 2 (randomized parking permit) as a generic-covering instance:
 /// the fractional phase runs on the shared [`FractionalCovering`] solver and
@@ -43,7 +43,6 @@ pub struct GenericParkingPermit {
     structure: LeaseStructure,
     fractional: FractionalCovering<Lease>,
     tau: f64,
-    purchases: Vec<Lease>,
 }
 
 impl GenericParkingPermit {
@@ -65,7 +64,6 @@ impl GenericParkingPermit {
             structure,
             fractional: FractionalCovering::new(),
             tau,
-            purchases: Vec::new(),
         }
     }
 
@@ -77,11 +75,6 @@ impl GenericParkingPermit {
     /// Accumulated fractional cost `Σ c · f`.
     pub fn fractional_cost(&self) -> f64 {
         self.fractional.fractional_cost()
-    }
-
-    /// The leases bought so far, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
     }
 
     /// The online weak-duality certificate: a lower bound on the offline
@@ -109,7 +102,6 @@ impl LeasingAlgorithm for GenericParkingPermit {
         let triple = Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start);
         if !books.owns(triple) {
             books.buy_priced(t, triple, lease.cost(&self.structure), CATEGORY_LEASE);
-            self.purchases.push(lease);
         }
         debug_assert!(books.covered(PERMIT_ELEMENT, t));
     }
@@ -167,7 +159,7 @@ impl<'a> GenericSmcl<'a> {
     ///
     /// Panics if the multiplicity exceeds the number of usable sets.
     pub fn serve_arrival(&mut self, t: TimeStep, element: usize, multiplicity: usize) {
-        let mut used_sets: HashSet<usize> = HashSet::new();
+        let mut used_sets: BTreeSet<usize> = BTreeSet::new();
         for _layer in 0..multiplicity {
             let candidates = self.candidates(t, element, &used_sets);
             assert!(
@@ -210,7 +202,7 @@ impl<'a> GenericSmcl<'a> {
         &self,
         t: TimeStep,
         element: usize,
-        excluded: &HashSet<usize>,
+        excluded: &BTreeSet<usize>,
     ) -> Vec<(Triple, f64)> {
         let mut out = Vec::new();
         for &s in self.instance.system.sets_containing(element) {
@@ -354,11 +346,6 @@ impl GenericDeterministicPermit {
     pub fn dual_value(&self) -> f64 {
         self.engine.dual_value()
     }
-
-    /// The leases bought, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        self.engine.purchases()
-    }
 }
 
 impl LeasingAlgorithm for GenericDeterministicPermit {
@@ -495,7 +482,7 @@ impl<'a> GenericOld<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leasing_core::engine::Driver;
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
     use parking_permit::rand_alg::RandomizedPermit;
@@ -506,6 +493,15 @@ mod tests {
     /// A driver over `alg`, pricing with [`structure`].
     fn drive<A: LeasingAlgorithm<Request = ()>>(alg: A) -> Driver<A> {
         Driver::new(alg, structure())
+    }
+
+    /// The triples `ledger` bought.
+    fn bought(ledger: &Ledger) -> BTreeSet<Triple> {
+        ledger
+            .decisions()
+            .iter()
+            .filter_map(|d| d.triple())
+            .collect()
     }
 
     fn structure() -> LeaseStructure {
@@ -541,11 +537,6 @@ mod tests {
                 spec.ledger().decisions(),
                 gen.ledger().decisions(),
                 "tau {tau}: decisions diverge"
-            );
-            assert_eq!(
-                spec.algorithm().purchases(),
-                gen.algorithm().purchases(),
-                "tau {tau}: purchases diverge"
             );
             assert_eq!(
                 spec.algorithm().fractional_cost().to_bits(),
@@ -593,8 +584,8 @@ mod tests {
                 gen_cost.to_bits(),
                 "seed {seed}: costs diverge"
             );
-            let spec_owned: HashSet<Triple> = spec.owned().copied().collect();
-            let gen_owned: HashSet<Triple> = gen.owned().copied().collect();
+            let spec_owned: BTreeSet<Triple> = bought(driver.ledger());
+            let gen_owned: BTreeSet<Triple> = gen.owned().copied().collect();
             assert_eq!(spec_owned, gen_owned, "seed {seed}: owned sets diverge");
             assert_eq!(
                 spec.stats().fractional_cost.to_bits(),
@@ -614,8 +605,11 @@ mod tests {
         for seed in 0..8 {
             let mut gen = GenericSmcl::new(&inst, seed);
             gen.run();
-            let owned: HashSet<Triple> = gen.owned().copied().collect();
-            assert!(is_feasible_cover(&inst, &owned), "seed {seed}");
+            let mut ledger = Ledger::new(inst.structure.clone());
+            for &triple in gen.owned() {
+                ledger.buy(0, triple);
+            }
+            assert!(is_feasible_cover(&inst, &ledger), "seed {seed}");
         }
     }
 
@@ -643,8 +637,8 @@ mod tests {
                 gen_cost.to_bits(),
                 "seed {seed}: costs diverge"
             );
-            let spec_owned: HashSet<Triple> = spec.owned().copied().collect();
-            let gen_owned: HashSet<Triple> = gen.owned().copied().collect();
+            let spec_owned: BTreeSet<Triple> = bought(driver.ledger());
+            let gen_owned: BTreeSet<Triple> = gen.owned().copied().collect();
             assert_eq!(spec_owned, gen_owned, "seed {seed}: owned sets diverge");
         }
     }
@@ -678,7 +672,6 @@ mod tests {
         }
         assert_eq!(spec.cost().to_bits(), gen.cost().to_bits());
         assert_eq!(spec.ledger().decisions(), gen.ledger().decisions());
-        assert_eq!(spec.algorithm().purchases(), gen.algorithm().purchases());
         assert_eq!(
             spec.algorithm().dual_value().to_bits(),
             gen.algorithm().dual_value().to_bits()
@@ -697,15 +690,23 @@ mod tests {
             OldClient::new(21, 8),
         ];
         let inst = OldInstance::new(structure(), clients).expect("sorted clients");
-        let mut spec = OldPrimalDual::new(&inst);
-        let mut driver = Driver::new(&mut spec, inst.structure.clone());
+        let mut driver = Driver::new(OldPrimalDual::new(&inst), inst.structure.clone());
         driver.submit_batch(inst.online_requests()).unwrap();
         let spec_cost = driver.cost();
+        let spec_leases: Vec<Lease> = driver
+            .ledger()
+            .decisions()
+            .iter()
+            .filter_map(|d| d.lease)
+            .collect();
         let mut gen = GenericOld::new(&inst);
         let gen_cost = gen.run();
         assert_eq!(spec_cost.to_bits(), gen_cost.to_bits());
-        assert_eq!(spec.purchases(), gen.purchases());
-        assert_eq!(spec.dual_value().to_bits(), gen.dual_value().to_bits());
+        assert_eq!(spec_leases, gen.purchases());
+        assert_eq!(
+            driver.algorithm().dual_value().to_bits(),
+            gen.dual_value().to_bits()
+        );
         for c in &inst.clients {
             assert!(gen.is_served(c));
         }

@@ -12,8 +12,9 @@
 //! adapters (see [`crate::adapters`]), and `Σ y` is tracked once as the
 //! weak-duality lower bound both analyses use.
 
+use crate::FxHashSet;
+use leasing_core::engine::FxHashMap;
 use leasing_core::EPS;
-use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 /// The generic deterministic dual-ascent state: per-candidate dual
@@ -30,8 +31,8 @@ use std::hash::Hash;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DualAscent<V> {
-    contributions: HashMap<V, f64>,
-    owned: HashSet<V>,
+    contributions: FxHashMap<V, f64>,
+    owned: FxHashSet<V>,
     purchases: Vec<V>,
     cost: f64,
     dual_value: f64,
@@ -41,8 +42,8 @@ impl<V: Eq + Hash + Copy> DualAscent<V> {
     /// Creates an empty engine (all contributions zero, nothing owned).
     pub fn new() -> Self {
         DualAscent {
-            contributions: HashMap::new(),
-            owned: HashSet::new(),
+            contributions: FxHashMap::default(),
+            owned: FxHashSet::default(),
             purchases: Vec::new(),
             cost: 0.0,
             dual_value: 0.0,

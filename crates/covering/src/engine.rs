@@ -5,7 +5,7 @@
 
 use crate::fractional::{DualCertificate, FractionalCovering};
 use crate::rounding::ThresholdSampler;
-use std::collections::HashSet;
+use crate::FxHashSet;
 use std::hash::Hash;
 
 /// Integral-phase telemetry of a [`CoveringEngine`] run.
@@ -39,7 +39,7 @@ pub struct EngineStats {
 pub struct CoveringEngine<V> {
     fractional: FractionalCovering<V>,
     thresholds: ThresholdSampler<V>,
-    owned: HashSet<V>,
+    owned: FxHashSet<V>,
     cost: f64,
     stats: EngineStats,
 }
@@ -55,7 +55,7 @@ impl<V: Eq + Hash + Copy> CoveringEngine<V> {
         CoveringEngine {
             fractional: FractionalCovering::new(),
             thresholds: ThresholdSampler::new(q, seed),
-            owned: HashSet::new(),
+            owned: FxHashSet::default(),
             cost: 0.0,
             stats: EngineStats::default(),
         }

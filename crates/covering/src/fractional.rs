@@ -34,7 +34,7 @@
 //! O(log d)` for maximum candidate-set size `d`, which is exactly the
 //! Lemma 3.1 bound; experiment E28 measures it.
 
-use std::collections::HashMap;
+use leasing_core::engine::FxHashMap;
 use std::hash::Hash;
 
 /// A dual feasibility certificate extracted from a [`FractionalCovering`]
@@ -72,9 +72,9 @@ pub struct DualCertificate {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FractionalCovering<V> {
-    fractions: HashMap<V, f64>,
-    costs: HashMap<V, f64>,
-    loads: HashMap<V, f64>,
+    fractions: FxHashMap<V, f64>,
+    costs: FxHashMap<V, f64>,
+    loads: FxHashMap<V, f64>,
     fractional_cost: f64,
     increments: u64,
     dual_sum: f64,
@@ -85,9 +85,9 @@ impl<V: Eq + Hash + Copy> FractionalCovering<V> {
     /// Creates an empty solver (all fractions zero).
     pub fn new() -> Self {
         FractionalCovering {
-            fractions: HashMap::new(),
-            costs: HashMap::new(),
-            loads: HashMap::new(),
+            fractions: FxHashMap::default(),
+            costs: FxHashMap::default(),
+            loads: FxHashMap::default(),
             fractional_cost: 0.0,
             increments: 0,
             dual_sum: 0.0,

@@ -59,3 +59,10 @@ pub use dual_ascent::DualAscent;
 pub use engine::{CoveringEngine, EngineStats};
 pub use fractional::{DualCertificate, FractionalCovering};
 pub use rounding::{suffix_crossing, ThresholdSampler};
+
+/// `HashSet` keyed by the engine's deterministic [`FxHasher`]: its
+/// iteration order depends on the keys alone, never on a per-process seed.
+///
+/// [`FxHasher`]: leasing_core::engine::FxHasher
+type FxHashSet<V> =
+    std::collections::HashSet<V, std::hash::BuildHasherDefault<leasing_core::engine::FxHasher>>;

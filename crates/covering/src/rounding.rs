@@ -12,10 +12,10 @@
 //!   permit bound; experiment E26 shows generic per-variable thresholds do
 //!   not.
 
+use leasing_core::engine::FxHashMap;
 use leasing_core::rng::min_of_uniforms;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Lazily samples and caches one rounding threshold per variable, each
@@ -26,7 +26,7 @@ use std::hash::Hash;
 /// thresholds — the property the adapter-equivalence tests rely on.
 #[derive(Debug)]
 pub struct ThresholdSampler<V> {
-    thresholds: HashMap<V, f64>,
+    thresholds: FxHashMap<V, f64>,
     q: u32,
     rng: StdRng,
 }
@@ -40,7 +40,7 @@ impl<V: Eq + Hash + Copy> ThresholdSampler<V> {
     pub fn new(q: u32, seed: u64) -> Self {
         assert!(q > 0, "threshold count must be positive");
         ThresholdSampler {
-            thresholds: HashMap::new(),
+            thresholds: FxHashMap::default(),
             q,
             rng: StdRng::seed_from_u64(seed),
         }

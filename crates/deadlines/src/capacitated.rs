@@ -17,7 +17,7 @@ use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::{TimeStep, Window};
 use leasing_lp::{Cmp, IlpOutcome, IntegerProgram, LinearProgram};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One weighted, deadline-flexible demand.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -145,7 +145,7 @@ pub enum BuyRule {
 #[derive(Clone, Debug)]
 struct CopyState {
     lease: Lease,
-    load: HashMap<TimeStep, f64>,
+    load: BTreeMap<TimeStep, f64>,
 }
 
 /// First-fit online algorithm: serve on the earliest window day where an
@@ -202,7 +202,7 @@ impl<'a> FirstFitOnline<'a> {
             demand.arrival,
             Triple::new(0, chosen.type_index, chosen.start),
         );
-        let mut load = HashMap::new();
+        let mut load = BTreeMap::new();
         load.insert(demand.arrival, demand.weight);
         self.copies.push(CopyState {
             lease: chosen,
@@ -245,7 +245,7 @@ pub fn is_feasible(
         return false;
     }
     let s = &instance.structure;
-    let mut load: HashMap<(usize, TimeStep), f64> = HashMap::new();
+    let mut load: BTreeMap<(usize, TimeStep), f64> = BTreeMap::new();
     for (d, &(ci, t)) in instance.demands.iter().zip(assignments) {
         let Some(lease) = purchases.get(ci) else {
             return false;
@@ -276,7 +276,7 @@ pub fn build_ilp(
     // Candidate leases: anything intersecting some demand window.
     let mut candidates: Vec<Lease> = Vec::new();
     {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for d in &instance.demands {
             for lease in candidates_intersecting(s, d.window()) {
                 if seen.insert(lease) {
@@ -286,7 +286,7 @@ pub fn build_ilp(
         }
     }
     // x variables: copy c of candidate lease l.
-    let mut x: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut x: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     let mut copy_leases: Vec<Lease> = Vec::new();
     for (li, lease) in candidates.iter().enumerate() {
         for c in 0..max_copies {
@@ -301,7 +301,7 @@ pub fn build_ilp(
     }
     // a variables: demand j served by copy (l, c) on day t.
     // Capacity rows are accumulated per (copy, day).
-    let mut cap_rows: HashMap<(usize, usize, TimeStep), Vec<(usize, f64)>> = HashMap::new();
+    let mut cap_rows: BTreeMap<(usize, usize, TimeStep), Vec<(usize, f64)>> = BTreeMap::new();
     for d in &instance.demands {
         let mut serve_row: Vec<(usize, f64)> = Vec::new();
         for (li, lease) in candidates.iter().enumerate() {

@@ -21,7 +21,7 @@ use leasing_core::time::{TimeStep, Window};
 use leasing_core::EPS;
 use leasing_lp::{Cmp, IlpOutcome, IntegerProgram, LinearProgram};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// One multi-day demand.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -138,10 +138,7 @@ impl MultiDayInstance {
 #[derive(Clone, Debug)]
 pub struct MultiDayOnline<'a> {
     instance: &'a MultiDayInstance,
-    contributions: HashMap<Lease, f64>,
-    /// Purchase mirror for the [`owned`](MultiDayOnline::owned) diagnostics
-    /// accessor; the serve path queries the ledger's coverage index.
-    owned: HashSet<Lease>,
+    contributions: BTreeMap<Lease, f64>,
     /// Chosen service block start per served client (in client order).
     service_starts: Vec<TimeStep>,
 }
@@ -151,8 +148,7 @@ impl<'a> MultiDayOnline<'a> {
     pub fn new(instance: &'a MultiDayInstance) -> Self {
         MultiDayOnline {
             instance,
-            contributions: HashMap::new(),
-            owned: HashSet::new(),
+            contributions: BTreeMap::new(),
             service_starts: Vec::new(),
         }
     }
@@ -199,7 +195,6 @@ impl<'a> MultiDayOnline<'a> {
             *entry += delta;
             let triple = Triple::new(0, c.type_index, c.start);
             if *entry >= c.cost(&self.instance.structure) - EPS && !books.owns(triple) {
-                self.owned.insert(c);
                 books.buy(t, triple);
             }
         }
@@ -209,11 +204,6 @@ impl<'a> MultiDayOnline<'a> {
     /// The chosen service-block start of each served client.
     pub fn service_starts(&self) -> &[TimeStep] {
         &self.service_starts
-    }
-
-    /// The owned leases.
-    pub fn owned(&self) -> impl Iterator<Item = &Lease> {
-        self.owned.iter()
     }
 }
 
@@ -227,18 +217,14 @@ impl<'a> LeasingAlgorithm for MultiDayOnline<'a> {
     }
 }
 
-/// Whether `leases` admits, for every client, a feasible block that is fully
-/// covered.
-pub fn is_feasible(instance: &MultiDayInstance, leases: &[Lease]) -> bool {
-    let covered = |t: TimeStep| {
-        leases
-            .iter()
-            .any(|l| l.window(&instance.structure).contains(t))
-    };
-    instance
-        .clients
-        .iter()
-        .all(|c| c.start_days().any(|b| c.block_at(b).iter().all(covered)))
+/// Whether the leases bought in `ledger` admit, for every client, a
+/// feasible block that is fully covered. The ledger must be uncompacted,
+/// so that its coverage still reaches back to the first client.
+pub fn is_feasible(instance: &MultiDayInstance, ledger: &Ledger) -> bool {
+    instance.clients.iter().all(|c| {
+        c.start_days()
+            .any(|b| c.block_at(b).iter().all(|t| ledger.covered(0, t)))
+    })
 }
 
 /// Builds the exact ILP: binary `x` per candidate lease, binary `z` per
@@ -247,7 +233,7 @@ pub fn is_feasible(instance: &MultiDayInstance, leases: &[Lease]) -> bool {
 pub fn build_ilp(instance: &MultiDayInstance) -> (IntegerProgram, Vec<Lease>) {
     let s = &instance.structure;
     let mut lp = LinearProgram::new();
-    let mut x_of: HashMap<Lease, usize> = HashMap::new();
+    let mut x_of: BTreeMap<Lease, usize> = BTreeMap::new();
     let mut leases: Vec<Lease> = Vec::new();
     let mut x_var = |lp: &mut LinearProgram, lease: Lease, cost: f64| -> usize {
         *x_of.entry(lease).or_insert_with(|| {
@@ -316,11 +302,12 @@ mod tests {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
     }
 
-    /// Drives `alg` over every client of `inst`; returns the total cost.
-    fn drive(alg: &mut MultiDayOnline<'_>, inst: &MultiDayInstance) -> f64 {
+    /// Drives `alg` over every client of `inst`; returns the driver's
+    /// ledger.
+    fn drive(alg: &mut MultiDayOnline<'_>, inst: &MultiDayInstance) -> Ledger {
         let mut driver = Driver::new(alg, inst.structure.clone());
         driver.submit_batch(inst.online_requests()).unwrap();
-        driver.cost()
+        driver.into_parts().1
     }
 
     #[test]
@@ -347,10 +334,9 @@ mod tests {
     fn single_client_is_served_and_covered() {
         let inst = MultiDayInstance::new(structure(), vec![MultiDayClient::new(0, 3, 3)]).unwrap();
         let mut alg = MultiDayOnline::new(&inst);
-        let cost = drive(&mut alg, &inst);
-        assert!(cost > 0.0);
-        let leases: Vec<Lease> = alg.owned().copied().collect();
-        assert!(is_feasible(&inst, &leases));
+        let ledger = drive(&mut alg, &inst);
+        assert!(ledger.total_cost() > 0.0);
+        assert!(is_feasible(&inst, &ledger));
     }
 
     #[test]
@@ -442,9 +428,9 @@ mod tests {
             }
             let inst = MultiDayInstance::new(structure(), clients).unwrap();
             let mut alg = MultiDayOnline::new(&inst);
-            let online = drive(&mut alg, &inst);
-            let leases: Vec<Lease> = alg.owned().copied().collect();
-            assert!(is_feasible(&inst, &leases));
+            let ledger = drive(&mut alg, &inst);
+            let online = ledger.total_cost();
+            assert!(is_feasible(&inst, &ledger));
             let opt = optimal_cost(&inst, 300_000).unwrap();
             let lb = lp_lower_bound(&inst);
             assert!(lb <= opt + 1e-6);
@@ -467,9 +453,8 @@ mod tests {
             }
             let inst = MultiDayInstance::new(structure(), clients).unwrap();
             let mut alg = MultiDayOnline::new(&inst);
-            let _ = drive(&mut alg, &inst);
-            let leases: Vec<Lease> = alg.owned().copied().collect();
-            prop_assert!(is_feasible(&inst, &leases));
+            let ledger = drive(&mut alg, &inst);
+            prop_assert!(is_feasible(&inst, &ledger));
             // Every chosen block lies inside its client's window.
             for (c, &b) in inst.clients.iter().zip(alg.service_starts()) {
                 prop_assert!(b >= c.arrival);

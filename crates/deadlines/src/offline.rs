@@ -7,14 +7,14 @@ use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_intersecting;
 use leasing_core::lease::Lease;
 use leasing_lp::{Cmp, IntegerProgram, LinearProgram};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Builds the Figure 5.2 ILP for an OLD instance: a binary variable per
 /// candidate lease, and per client one row `Σ_{leases touching its window}
 /// x ≥ 1`.
 pub fn build_old_ilp(instance: &OldInstance) -> (IntegerProgram, Vec<Lease>) {
     let mut lp = LinearProgram::new();
-    let mut var_of: HashMap<Lease, usize> = HashMap::new();
+    let mut var_of: BTreeMap<Lease, usize> = BTreeMap::new();
     let mut leases = Vec::new();
     let mut rows = Vec::new();
     for client in &instance.clients {
@@ -60,7 +60,7 @@ pub fn old_lp_lower_bound(instance: &OldInstance) -> f64 {
 /// candidate triple and one covering row per arrival.
 pub fn build_scld_ilp(instance: &ScldInstance) -> (IntegerProgram, Vec<Triple>) {
     let mut lp = LinearProgram::new();
-    let mut var_of: HashMap<Triple, usize> = HashMap::new();
+    let mut var_of: BTreeMap<Triple, usize> = BTreeMap::new();
     let mut triples = Vec::new();
     let mut rows = Vec::new();
     for a in &instance.arrivals {

@@ -10,13 +10,13 @@
 //! optimal `O(K)` ratio; general windows give `Θ(K + d_max/l_min)`
 //! (Theorem 5.3).
 
-use leasing_core::engine::{Books, LeasingAlgorithm};
+use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
 use leasing_core::framework::Triple;
 use leasing_core::interval::{candidates_covering, candidates_intersecting};
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::{TimeStep, Window};
 use leasing_core::EPS;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A client with a service window: arrives at `arrival`, must be served by
 /// `arrival + slack` (the window `[arrival, arrival + slack]`, inclusive).
@@ -116,11 +116,10 @@ impl OldInstance {
 pub struct OldPrimalDual<'a> {
     instance: &'a OldInstance,
     /// Dual contribution accumulated per candidate lease.
-    contributions: HashMap<Lease, f64>,
+    contributions: BTreeMap<Lease, f64>,
     /// Clients with a strictly positive dual variable, with their dual.
     positive_clients: Vec<(OldClient, f64)>,
     dual_value: f64,
-    purchases: Vec<Lease>,
 }
 
 /// The single leased resource of the OLD problem; its element id in the
@@ -132,10 +131,9 @@ impl<'a> OldPrimalDual<'a> {
     pub fn new(instance: &'a OldInstance) -> Self {
         OldPrimalDual {
             instance,
-            contributions: HashMap::new(),
+            contributions: BTreeMap::new(),
             positive_clients: Vec::new(),
             dual_value: 0.0,
-            purchases: Vec::new(),
         }
     }
 
@@ -143,11 +141,6 @@ impl<'a> OldPrimalDual<'a> {
     /// duality).
     pub fn dual_value(&self) -> f64 {
         self.dual_value
-    }
-
-    /// The leases bought, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
     }
 
     /// Core primal-dual step for one client, recording purchases into
@@ -218,7 +211,6 @@ impl<'a> OldPrimalDual<'a> {
         let triple = Triple::new(OLD_ELEMENT, lease.type_index, lease.start);
         if !books.owns(triple) {
             books.buy(t, triple);
-            self.purchases.push(lease);
         }
     }
 }
@@ -233,21 +225,21 @@ impl<'a> LeasingAlgorithm for OldPrimalDual<'a> {
     }
 }
 
-/// Checks that every client of `instance` has a lease intersecting its
-/// window.
-pub fn is_feasible(instance: &OldInstance, owned: &[Lease]) -> bool {
-    instance.clients.iter().all(|c| {
-        let w = c.window();
-        owned
-            .iter()
-            .any(|l| l.window(&instance.structure).intersects(&w))
-    })
+/// Checks that every client of `instance` has a lease bought in `ledger`
+/// (on [`OLD_ELEMENT`]) intersecting its window. The ledger must be
+/// uncompacted, so that its coverage still reaches back to the first
+/// client.
+pub fn is_feasible(instance: &OldInstance, ledger: &Ledger) -> bool {
+    instance
+        .clients
+        .iter()
+        .all(|c| ledger.covered_during(OLD_ELEMENT, c.window()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leasing_core::engine::{Driver, Ledger};
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
 
     fn structure() -> LeaseStructure {
@@ -277,12 +269,12 @@ mod tests {
         )
         .unwrap();
         let mut alg = OldPrimalDual::new(&inst);
-        let cost = drive(&mut alg, &inst).total_cost();
-        assert!(cost > 0.0);
-        assert!(is_feasible(&inst, alg.purchases()));
+        let ledger = drive(&mut alg, &inst);
+        assert!(ledger.total_cost() > 0.0);
+        assert!(is_feasible(&inst, &ledger));
         // With zero slack, Step 2 buys nothing extra: every purchase covers
         // an arrival day.
-        for l in alg.purchases() {
+        for l in ledger.decisions().iter().filter_map(|d| d.lease) {
             assert!(
                 inst.clients
                     .iter()
@@ -306,7 +298,7 @@ mod tests {
         .unwrap();
         let mut alg = OldPrimalDual::new(&inst);
         let ledger = drive(&mut alg, &inst);
-        assert!(is_feasible(&inst, alg.purchases()));
+        assert!(is_feasible(&inst, &ledger));
         for c in &inst.clients {
             assert!(ledger.covered_during(OLD_ELEMENT, c.window()));
         }

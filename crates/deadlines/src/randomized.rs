@@ -21,8 +21,7 @@
 
 use crate::old::OldInstance;
 use crate::scld::{ScldArrival, ScldInstance, ScldOnline};
-use leasing_core::engine::Driver;
-use leasing_core::lease::Lease;
+use leasing_core::engine::{Driver, Ledger};
 use set_cover_leasing::system::SetSystem;
 
 /// Re-expresses an OLD instance as the `m = n = 1` SCLD instance (one set
@@ -39,16 +38,18 @@ pub fn singleton_scld(instance: &OldInstance) -> ScldInstance {
 }
 
 /// The outcome of one randomized-OLD run.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct RandomizedOldRun {
     /// Total cost paid.
     pub cost: f64,
-    /// Leases bought (the set component is dropped — there is only one).
-    pub purchases: Vec<Lease>,
+    /// The run's books. The one set is element
+    /// [`OLD_ELEMENT`](crate::old::OLD_ELEMENT), so the OLD checks read
+    /// them directly.
+    pub ledger: Ledger,
 }
 
 /// Runs the §5.5 randomized algorithm on an OLD instance with the given
-/// seed and returns its cost and purchases.
+/// seed and returns its cost and books.
 ///
 /// ```
 /// use leasing_core::lease::{LeaseStructure, LeaseType};
@@ -65,7 +66,7 @@ pub struct RandomizedOldRun {
 ///     OldClient::new(7, 2),
 /// ])?;
 /// let run = randomized_old(&instance, 42);
-/// assert!(is_feasible(&instance, &run.purchases));
+/// assert!(is_feasible(&instance, &run.ledger));
 /// # Ok(())
 /// # }
 /// ```
@@ -76,14 +77,10 @@ pub fn randomized_old(instance: &OldInstance, seed: u64) -> RandomizedOldRun {
         .submit_batch(scld.online_requests())
         // lint:allow(panic: ScldInstance validates non-decreasing arrival times)
         .expect("validated arrivals are time-ordered");
-    let purchases: Vec<Lease> = driver
-        .algorithm()
-        .owned()
-        .map(|t| Lease::new(t.type_index, t.start))
-        .collect();
+    let (_, ledger) = driver.into_parts();
     RandomizedOldRun {
-        cost: driver.cost(),
-        purchases,
+        cost: ledger.total_cost(),
+        ledger,
     }
 }
 
@@ -126,9 +123,15 @@ mod tests {
         let opt = offline::old_optimal_cost(&inst, 100_000).unwrap();
         for seed in 0..30u64 {
             let run = randomized_old(&inst, seed);
-            assert!(is_feasible(&inst, &run.purchases), "seed {seed}");
+            assert!(is_feasible(&inst, &run.ledger), "seed {seed}");
             assert!(run.cost >= opt - 1e-9, "seed {seed}: cost below opt");
-            let paid: f64 = run.purchases.iter().map(|l| l.cost(&inst.structure)).sum();
+            let paid: f64 = run
+                .ledger
+                .decisions()
+                .iter()
+                .filter_map(|d| d.lease)
+                .map(|l| l.cost(&inst.structure))
+                .sum();
             assert!((paid - run.cost).abs() < 1e-9, "cost accounting");
         }
     }
@@ -157,6 +160,6 @@ mod tests {
         let inst = OldInstance::new(structure(), vec![]).unwrap();
         let run = randomized_old(&inst, 1);
         assert_eq!(run.cost, 0.0);
-        assert!(run.purchases.is_empty());
+        assert_eq!(run.ledger.leases_bought(), 0);
     }
 }

@@ -9,7 +9,7 @@
 //! of time* (Theorem 5.7). With `d_max = 0` this improves SetCoverLeasing
 //! to `O(log(mK) · log l_max)` (Corollary 5.8).
 
-use leasing_core::engine::{Books, LeasingAlgorithm};
+use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_intersecting;
 use leasing_core::lease::LeaseStructure;
@@ -18,7 +18,7 @@ use leasing_core::time::{TimeStep, Window};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use set_cover_leasing::system::SetSystem;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// One SCLD demand: element `element` arrives at `time` and must be covered
 /// by a set leased during some day of `[time, time + slack]`.
@@ -201,13 +201,9 @@ pub struct ScldStats {
 #[derive(Debug)]
 pub struct ScldOnline<'a> {
     instance: &'a ScldInstance,
-    fractions: HashMap<Triple, f64>,
-    thresholds: HashMap<Triple, f64>,
+    fractions: BTreeMap<Triple, f64>,
+    thresholds: BTreeMap<Triple, f64>,
     q: u32,
-    /// Purchase mirror for the [`owned`](ScldOnline::owned) diagnostics
-    /// accessor; the serve path queries
-    /// [`Ledger::owns`](leasing_core::engine::Ledger::owns).
-    owned: HashSet<Triple>,
     stats: ScldStats,
     rng: StdRng,
 }
@@ -230,10 +226,9 @@ impl<'a> ScldOnline<'a> {
         assert!(q > 0, "threshold count must be positive");
         ScldOnline {
             instance,
-            fractions: HashMap::new(),
-            thresholds: HashMap::new(),
+            fractions: BTreeMap::new(),
+            thresholds: BTreeMap::new(),
             q,
-            owned: HashSet::new(),
             stats: ScldStats::default(),
             rng: StdRng::seed_from_u64(seed),
         }
@@ -242,11 +237,6 @@ impl<'a> ScldOnline<'a> {
     /// Instrumentation counters.
     pub fn stats(&self) -> ScldStats {
         self.stats
-    }
-
-    /// The triples leased so far.
-    pub fn owned(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
     }
 
     /// Core LP-growth + rounding step, recording purchases into `ledger`.
@@ -278,7 +268,6 @@ impl<'a> ScldOnline<'a> {
             let mu = self.threshold(c);
             if f > mu && !books.owns(*c) {
                 let cost = self.instance.cost(c.element, c.type_index);
-                self.owned.insert(*c);
                 books.buy_priced(a.time, *c, cost, "rounded");
                 self.stats.rounded_cost += cost;
             }
@@ -294,7 +283,6 @@ impl<'a> ScldOnline<'a> {
                 })
                 .expect("candidates are non-empty");
             let cost = self.instance.cost(cheapest.element, cheapest.type_index);
-            self.owned.insert(cheapest);
             books.buy_priced(a.time, cheapest, cost, "fallback");
             self.stats.fallback_cost += cost;
             self.stats.fallbacks += 1;
@@ -315,12 +303,14 @@ impl<'a> ScldOnline<'a> {
     }
 }
 
-/// Checks that every arrival's window holds a leased candidate.
-pub fn is_feasible(instance: &ScldInstance, owned: &HashSet<Triple>) -> bool {
+/// Checks that every arrival's window holds a candidate bought in
+/// `ledger`. The ledger must be uncompacted, so that it still owns every
+/// lease it bought.
+pub fn is_feasible(instance: &ScldInstance, ledger: &Ledger) -> bool {
     instance
         .arrivals
         .iter()
-        .all(|a| instance.candidates(a).iter().any(|c| owned.contains(c)))
+        .all(|a| instance.candidates(a).iter().any(|&c| ledger.owns(c)))
 }
 
 impl<'a> LeasingAlgorithm for ScldOnline<'a> {
@@ -354,11 +344,12 @@ mod tests {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(16, 3.0)]).unwrap()
     }
 
-    /// Drives `alg` over every arrival of `inst`; returns the total cost.
-    fn drive(alg: &mut ScldOnline<'_>, inst: &ScldInstance) -> f64 {
+    /// Drives `alg` over every arrival of `inst`; returns the driver's
+    /// ledger.
+    fn drive(alg: &mut ScldOnline<'_>, inst: &ScldInstance) -> Ledger {
         let mut driver = Driver::new(alg, inst.structure.clone());
         driver.submit_batch(inst.online_requests()).unwrap();
-        driver.cost()
+        driver.into_parts().1
     }
 
     #[test]
@@ -375,10 +366,9 @@ mod tests {
         .unwrap();
         for seed in 0..10 {
             let mut alg = ScldOnline::new(&inst, seed);
-            let cost = drive(&mut alg, &inst);
-            assert!(cost > 0.0);
-            let owned: HashSet<Triple> = alg.owned().copied().collect();
-            assert!(is_feasible(&inst, &owned), "seed {seed}");
+            let ledger = drive(&mut alg, &inst);
+            assert!(ledger.total_cost() > 0.0);
+            assert!(is_feasible(&inst, &ledger), "seed {seed}");
         }
     }
 
@@ -401,9 +391,7 @@ mod tests {
         // Exactly K candidates per containing set.
         assert_eq!(cands.len(), 2 * inst.structure.num_types());
         let mut alg = ScldOnline::new(&inst, 1);
-        drive(&mut alg, &inst);
-        let owned: HashSet<Triple> = alg.owned().copied().collect();
-        assert!(is_feasible(&inst, &owned));
+        assert!(is_feasible(&inst, &drive(&mut alg, &inst)));
     }
 
     #[test]
@@ -433,7 +421,7 @@ mod tests {
         .unwrap();
         let run = |seed| {
             let mut alg = ScldOnline::new(&inst, seed);
-            drive(&mut alg, &inst)
+            drive(&mut alg, &inst).total_cost()
         };
         assert_eq!(run(9).to_bits(), run(9).to_bits());
     }
@@ -447,7 +435,7 @@ mod tests {
         )
         .unwrap();
         let mut alg = ScldOnline::new(&inst, 4);
-        let cost = drive(&mut alg, &inst);
+        let cost = drive(&mut alg, &inst).total_cost();
         let stats = alg.stats();
         assert!((stats.rounded_cost + stats.fallback_cost - cost).abs() < 1e-9);
         assert!(stats.fractional_cost > 0.0);

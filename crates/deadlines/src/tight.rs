@@ -46,13 +46,14 @@ mod tests {
     use super::*;
     use crate::offline;
     use crate::old::{is_feasible, OldPrimalDual};
-    use leasing_core::engine::Driver;
+    use leasing_core::engine::{Driver, Ledger};
 
-    /// Drives `alg` over every client of `inst`; returns the total cost.
-    fn drive(alg: &mut OldPrimalDual<'_>, inst: &OldInstance) -> f64 {
+    /// Drives `alg` over every client of `inst`; returns the driver's
+    /// ledger.
+    fn drive(alg: &mut OldPrimalDual<'_>, inst: &OldInstance) -> Ledger {
         let mut driver = Driver::new(alg, inst.structure.clone());
         driver.submit_batch(inst.online_requests()).unwrap();
-        driver.cost()
+        driver.into_parts().1
     }
 
     #[test]
@@ -61,8 +62,9 @@ mod tests {
         let l_min = 2;
         let inst = tight_example(d_max, l_min, 0.01);
         let mut alg = OldPrimalDual::new(&inst);
-        let cost = drive(&mut alg, &inst);
-        assert!(is_feasible(&inst, alg.purchases()));
+        let ledger = drive(&mut alg, &inst);
+        let cost = ledger.total_cost();
+        assert!(is_feasible(&inst, &ledger));
         let opt = tight_example_optimum(0.01);
         let ratio = cost / opt;
         let lower = (d_max / l_min) as f64 / 2.0;
@@ -88,7 +90,7 @@ mod tests {
         for d_max in [8u64, 16, 32, 64] {
             let inst = tight_example(d_max, 2, 0.01);
             let mut alg = OldPrimalDual::new(&inst);
-            let cost = drive(&mut alg, &inst);
+            let cost = drive(&mut alg, &inst).total_cost();
             ratios.push(cost / tight_example_optimum(0.01));
         }
         // Doubling d_max should (roughly) double the ratio.

@@ -41,7 +41,7 @@ use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
 use leasing_core::EPS;
 use leasing_lp::{Cmp, IntegerProgram, LinearProgram};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A demand that may be served on any of an explicit set of days.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -147,10 +147,10 @@ impl WindowClient {
         self.deadline() - self.arrival
     }
 
-    /// Whether `lease` (under `structure`) covers one of the allowed days.
-    pub fn served_by(&self, structure: &LeaseStructure, lease: &Lease) -> bool {
-        let w = lease.window(structure);
-        self.allowed.iter().any(|&d| w.contains(d))
+    /// Whether `ledger` holds a lease covering one of the allowed days —
+    /// one `O(K log n)` point query per allowed day.
+    pub fn served_in(&self, ledger: &Ledger) -> bool {
+        self.allowed.iter().any(|&d| ledger.covered(0, d))
     }
 }
 
@@ -223,16 +223,15 @@ impl WindowInstance {
 /// let mut driver = Driver::new(WindowPrimalDual::new(&instance), instance.structure.clone());
 /// driver.submit_batch(instance.online_requests())?;
 /// assert!(driver.cost() > 0.0);
-/// assert!(is_feasible(&instance, driver.algorithm().purchases()));
+/// assert!(is_feasible(&instance, driver.ledger()));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone, Debug)]
 pub struct WindowPrimalDual<'a> {
     instance: &'a WindowInstance,
-    contributions: HashMap<Lease, f64>,
+    contributions: BTreeMap<Lease, f64>,
     dual_value: f64,
-    purchases: Vec<Lease>,
 }
 
 impl<'a> WindowPrimalDual<'a> {
@@ -240,9 +239,8 @@ impl<'a> WindowPrimalDual<'a> {
     pub fn new(instance: &'a WindowInstance) -> Self {
         WindowPrimalDual {
             instance,
-            contributions: HashMap::new(),
+            contributions: BTreeMap::new(),
             dual_value: 0.0,
-            purchases: Vec::new(),
         }
     }
 
@@ -252,21 +250,10 @@ impl<'a> WindowPrimalDual<'a> {
         self.dual_value
     }
 
-    /// The leases bought, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
-    }
-
-    /// Whether `ledger` holds a lease covering one of the allowed days —
-    /// one `O(K log n)` point query per allowed day.
-    fn served_in(ledger: &Ledger, client: &WindowClient) -> bool {
-        client.allowed_days().iter().any(|&d| ledger.covered(0, d))
-    }
-
     /// Core primal-dual step for one window client, recording purchases
     /// into `ledger`.
     fn serve_with(&mut self, client: &WindowClient, books: &mut Books<'_>) {
-        if Self::served_in(books, client) {
+        if client.served_in(books) {
             return;
         }
         let candidates = self.instance.candidates(client);
@@ -325,7 +312,7 @@ impl<'a> WindowPrimalDual<'a> {
             );
         }
         debug_assert!(
-            Self::served_in(books, client),
+            client.served_in(books),
             "a bought candidate serves the client"
         );
     }
@@ -334,7 +321,6 @@ impl<'a> WindowPrimalDual<'a> {
         let triple = Triple::new(0, lease.type_index, lease.start);
         if !books.owns(triple) {
             books.buy(t, triple);
-            self.purchases.push(lease);
         }
     }
 }
@@ -349,13 +335,11 @@ impl<'a> LeasingAlgorithm for WindowPrimalDual<'a> {
     }
 }
 
-/// Checks that every client of `instance` has a lease covering one of its
-/// allowed days.
-pub fn is_feasible(instance: &WindowInstance, owned: &[Lease]) -> bool {
-    instance
-        .clients
-        .iter()
-        .all(|c| owned.iter().any(|l| c.served_by(&instance.structure, l)))
+/// Checks that every client of `instance` has a lease bought in `ledger`
+/// covering one of its allowed days. The ledger must be uncompacted, so
+/// that its coverage still reaches back to the first client.
+pub fn is_feasible(instance: &WindowInstance, ledger: &Ledger) -> bool {
+    instance.clients.iter().all(|c| c.served_in(ledger))
 }
 
 /// Builds the covering ILP of the model (the Figure 5.2 program with the
@@ -363,7 +347,7 @@ pub fn is_feasible(instance: &WindowInstance, owned: &[Lease]) -> bool {
 /// per candidate lease, one row `Σ x ≥ 1` per client.
 pub fn build_window_ilp(instance: &WindowInstance) -> (IntegerProgram, Vec<Lease>) {
     let mut lp = LinearProgram::new();
-    let mut var_of: HashMap<Lease, usize> = HashMap::new();
+    let mut var_of: BTreeMap<Lease, usize> = BTreeMap::new();
     let mut leases = Vec::new();
     let mut rows = Vec::new();
     for client in &instance.clients {
@@ -417,11 +401,12 @@ mod tests {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(16, 3.0)]).unwrap()
     }
 
-    /// Drives `alg` over every client of `inst`; returns the total cost.
-    fn drive(alg: &mut WindowPrimalDual<'_>, inst: &WindowInstance) -> f64 {
+    /// Drives `alg` over every client of `inst`; returns the driver's
+    /// ledger.
+    fn drive(alg: &mut WindowPrimalDual<'_>, inst: &WindowInstance) -> Ledger {
         let mut driver = Driver::new(alg, inst.structure.clone());
         driver.submit_batch(inst.online_requests()).unwrap();
-        driver.cost()
+        driver.into_parts().1
     }
 
     #[test]
@@ -495,9 +480,9 @@ mod tests {
         )
         .unwrap();
         let mut alg = WindowPrimalDual::new(&inst);
-        let cost = drive(&mut alg, &inst);
-        assert!(cost > 0.0);
-        assert!(is_feasible(&inst, alg.purchases()));
+        let ledger = drive(&mut alg, &inst);
+        assert!(ledger.total_cost() > 0.0);
+        assert!(is_feasible(&inst, &ledger));
     }
 
     #[test]
@@ -533,7 +518,7 @@ mod tests {
             days.iter().map(|&t| OldClient::new(t, 0)).collect(),
         )
         .unwrap();
-        let w_cost = drive(&mut WindowPrimalDual::new(&w_inst), &w_inst);
+        let w_cost = drive(&mut WindowPrimalDual::new(&w_inst), &w_inst).total_cost();
         let mut old = Driver::new(OldPrimalDual::new(&o_inst), o_inst.structure.clone());
         old.submit_batch(o_inst.online_requests()).unwrap();
         let o_cost = old.cost();
@@ -556,9 +541,9 @@ mod tests {
         // A single short lease at day 40 serves everybody.
         assert!((opt - 1.0).abs() < 1e-9, "opt {opt}");
         let mut alg = WindowPrimalDual::new(&inst);
-        let cost = drive(&mut alg, &inst);
-        assert!(is_feasible(&inst, alg.purchases()));
-        assert!(cost >= opt - 1e-9);
+        let ledger = drive(&mut alg, &inst);
+        assert!(is_feasible(&inst, &ledger));
+        assert!(ledger.total_cost() >= opt - 1e-9);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the deadline models: OLD primal-dual feasibility and
 //! guarantee, SCLD feasibility, and the capacitated first-fit invariants.
 
-use leasing_core::engine::{Driver, LeasingAlgorithm};
+use leasing_core::engine::{Driver, LeasingAlgorithm, Ledger};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_core::time::TimeStep;
@@ -19,15 +19,15 @@ use proptest::prelude::*;
 use rand::RngExt;
 use set_cover_leasing::system::SetSystem;
 
-/// Drives `alg` over `requests`; returns the total cost.
-fn driven_cost<A: LeasingAlgorithm>(
+/// Drives `alg` over `requests`; returns the driver's ledger.
+fn driven<A: LeasingAlgorithm>(
     alg: A,
     structure: &LeaseStructure,
     requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
-) -> f64 {
+) -> Ledger {
     let mut driver = Driver::new(alg, structure.clone());
     driver.submit_batch(requests).unwrap();
-    driver.cost()
+    driver.into_parts().1
 }
 
 fn structure() -> LeaseStructure {
@@ -55,8 +55,9 @@ proptest! {
         let clients = random_clients(seed, 6, 5);
         let inst = OldInstance::new(structure(), clients).unwrap();
         let mut alg = OldPrimalDual::new(&inst);
-        let cost = driven_cost(&mut alg, &inst.structure, inst.online_requests());
-        prop_assert!(old_feasible(&inst, alg.purchases()));
+        let ledger = driven(&mut alg, &inst.structure, inst.online_requests());
+        let cost = ledger.total_cost();
+        prop_assert!(old_feasible(&inst, &ledger));
         let Some(opt) = offline::old_optimal_cost(&inst, 300_000) else {
             return Ok(());
         };
@@ -79,7 +80,7 @@ proptest! {
         }
         let inst = OldInstance::new(structure(), clients).unwrap();
         let mut alg = OldPrimalDual::new(&inst);
-        let cost = driven_cost(&mut alg, &inst.structure, inst.online_requests());
+        let cost = driven(&mut alg, &inst.structure, inst.online_requests()).total_cost();
         let Some(opt) = offline::old_optimal_cost(&inst, 300_000) else {
             return Ok(());
         };
@@ -103,11 +104,9 @@ proptest! {
             arrivals.push(ScldArrival::new(t, rng.random_range(0..4), rng.random_range(0..4)));
         }
         let inst = ScldInstance::uniform(system, structure(), arrivals).unwrap();
-        let mut alg = ScldOnline::new(&inst, alg_seed);
-        let cost = driven_cost(&mut alg, &inst.structure, inst.online_requests());
-        prop_assert!(cost > 0.0);
-        let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
-        prop_assert!(leasing_deadlines::scld::is_feasible(&inst, &owned));
+        let ledger = driven(ScldOnline::new(&inst, alg_seed), &inst.structure, inst.online_requests());
+        prop_assert!(ledger.total_cost() > 0.0);
+        prop_assert!(leasing_deadlines::scld::is_feasible(&inst, &ledger));
     }
 
     /// The service-window primal-dual serves every client, stays above the
@@ -131,10 +130,11 @@ proptest! {
         }
         let inst = WindowInstance::new(structure(), clients).unwrap();
         let mut alg = WindowPrimalDual::new(&inst);
-        let cost = driven_cost(&mut alg, &inst.structure, inst.online_requests());
-        prop_assert!(win_feasible(&inst, alg.purchases()));
+        let ledger = driven(&mut alg, &inst.structure, inst.online_requests());
+        let cost = ledger.total_cost();
+        prop_assert!(win_feasible(&inst, &ledger));
         let k = inst.structure.num_types();
-        prop_assert!(alg.purchases().len() <= 2 * k * inst.clients.len(),
+        prop_assert!(ledger.leases_bought() <= 2 * k * inst.clients.len(),
             "more than 2K purchases per client");
         let Some(opt) = window_optimal_cost(&inst, 300_000) else {
             return Ok(());
@@ -181,7 +181,7 @@ proptest! {
         let inst = CapacitatedOldInstance::new(structure(), 1.0, demands).unwrap();
         for rule in [BuyRule::Cheapest, BuyRule::BestRate] {
             let mut alg = FirstFitOnline::new(&inst);
-            let cost = driven_cost(&mut alg, &inst.structure, inst.online_requests(rule));
+            let cost = driven(&mut alg, &inst.structure, inst.online_requests(rule)).total_cost();
             prop_assert!(cost > 0.0);
             prop_assert!(cap_feasible(&inst, &alg.purchases(), alg.assignments()),
                 "rule {rule:?} produced an infeasible packing");

@@ -35,7 +35,7 @@
 use crate::conflict::{resolve_conflicts, ConflictInstance, MisStrategy};
 use crate::net::{run, Envelope, Protocol, RunStats};
 use leasing_graph::graph::Graph;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Numeric slack used when comparing bids against prices.
 const EPS: f64 = 1e-9;
@@ -205,7 +205,7 @@ impl BiddingOutcome {
 enum NodeState {
     Facility {
         price: f64,
-        bids: HashMap<usize, f64>,
+        bids: BTreeMap<usize, f64>,
         open: bool,
         announced: bool,
         frozen_neighbors: usize,
@@ -253,7 +253,7 @@ impl<'a> BiddingProtocol<'a> {
         for i in 0..f {
             states.push(NodeState::Facility {
                 price: instance.price(i),
-                bids: HashMap::new(),
+                bids: BTreeMap::new(),
                 open: false,
                 announced: false,
                 frozen_neighbors: 0,
@@ -519,7 +519,7 @@ pub fn distributed_step(
     let open_ids: Vec<usize> = (0..instance.num_facilities())
         .filter(|&i| bidding.open[i])
         .collect();
-    let dense: HashMap<usize, usize> = open_ids.iter().enumerate().map(|(d, &i)| (i, d)).collect();
+    let dense: BTreeMap<usize, usize> = open_ids.iter().enumerate().map(|(d, &i)| (i, d)).collect();
     let bids: Vec<Vec<usize>> = bidding
         .positive_bids
         .iter()

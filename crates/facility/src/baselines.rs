@@ -8,19 +8,17 @@
 //! is compared against in experiment E9.
 
 use crate::instance::FacilityInstance;
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
-use std::collections::HashSet;
+use leasing_core::time::TimeStep;
 
-/// Greedy lease-or-connect baseline.
+/// Greedy lease-or-connect baseline. The books it is handed are the only
+/// record of the leases it bought.
 #[derive(Debug)]
 pub struct GreedyLease<'a> {
     instance: &'a FacilityInstance,
-    owned: HashSet<Triple>,
-    lease_cost: f64,
-    connect_cost: f64,
     assignments: Vec<Option<(usize, usize)>>,
-    next_batch: usize,
 }
 
 impl<'a> GreedyLease<'a> {
@@ -28,73 +26,8 @@ impl<'a> GreedyLease<'a> {
     pub fn new(instance: &'a FacilityInstance) -> Self {
         GreedyLease {
             instance,
-            owned: HashSet::new(),
-            lease_cost: 0.0,
-            connect_cost: 0.0,
             assignments: vec![None; instance.num_clients()],
-            next_batch: 0,
         }
-    }
-
-    /// Processes all batches and returns the total cost.
-    pub fn run(&mut self) -> f64 {
-        let inst = self.instance;
-        while self.next_batch < inst.batches().len() {
-            let batch = &inst.batches()[self.next_batch];
-            self.next_batch += 1;
-            for &j in &batch.clients {
-                // Option A: connect to the best already-active facility.
-                let mut best_connect: Option<(f64, usize, usize)> = None;
-                for k in 0..inst.structure().num_types() {
-                    let start = aligned_start(batch.time, inst.structure().length(k));
-                    for i in 0..inst.num_facilities() {
-                        if self.owned.contains(&Triple::new(i, k, start)) {
-                            let d = inst.distance(i, j);
-                            if best_connect.is_none_or(|(bd, _, _)| d < bd) {
-                                best_connect = Some((d, i, k));
-                            }
-                        }
-                    }
-                }
-                // Option B: lease a new facility/type.
-                let mut best_lease: Option<(f64, usize, usize)> = None;
-                for i in 0..inst.num_facilities() {
-                    for k in 0..inst.structure().num_types() {
-                        let total = inst.cost(i, k) + inst.distance(i, j);
-                        if best_lease.is_none_or(|(bt, _, _)| total < bt) {
-                            best_lease = Some((total, i, k));
-                        }
-                    }
-                }
-                let (lease_total, li, lk) = best_lease.expect("instance has at least one facility");
-                match best_connect {
-                    Some((d, i, k)) if d <= lease_total => {
-                        self.connect_cost += d;
-                        self.assignments[j] = Some((i, k));
-                    }
-                    _ => {
-                        let start = aligned_start(batch.time, inst.structure().length(lk));
-                        let triple = Triple::new(li, lk, start);
-                        if self.owned.insert(triple) {
-                            self.lease_cost += inst.cost(li, lk);
-                        }
-                        self.connect_cost += inst.distance(li, j);
-                        self.assignments[j] = Some((li, lk));
-                    }
-                }
-            }
-        }
-        self.total_cost()
-    }
-
-    /// Total cost paid so far.
-    pub fn total_cost(&self) -> f64 {
-        self.lease_cost + self.connect_cost
-    }
-
-    /// The leases bought.
-    pub fn owned_leases(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
     }
 
     /// Final `(client, facility, type)` assignments.
@@ -107,12 +40,68 @@ impl<'a> GreedyLease<'a> {
     }
 }
 
+impl<'a> LeasingAlgorithm for GreedyLease<'a> {
+    /// The batch of (globally numbered) clients arriving at a time step.
+    type Request = Vec<usize>;
+
+    fn on_request(&mut self, time: TimeStep, clients: Vec<usize>, mut books: Books<'_>) {
+        let inst = self.instance;
+        for j in clients {
+            // Option A: connect to the best already-active facility.
+            let mut best_connect: Option<(f64, usize, usize)> = None;
+            for k in 0..inst.structure().num_types() {
+                let start = aligned_start(time, inst.structure().length(k));
+                for i in 0..inst.num_facilities() {
+                    if books.owns(Triple::new(i, k, start)) {
+                        let d = inst.distance(i, j);
+                        if best_connect.is_none_or(|(bd, _, _)| d < bd) {
+                            best_connect = Some((d, i, k));
+                        }
+                    }
+                }
+            }
+            // Option B: lease a new facility/type.
+            let mut best_lease: Option<(f64, usize, usize)> = None;
+            for i in 0..inst.num_facilities() {
+                for k in 0..inst.structure().num_types() {
+                    let total = inst.cost(i, k) + inst.distance(i, j);
+                    if best_lease.is_none_or(|(bt, _, _)| total < bt) {
+                        best_lease = Some((total, i, k));
+                    }
+                }
+            }
+            let (lease_total, li, lk) = best_lease.expect("instance has at least one facility");
+            let (i, k) = match best_connect {
+                Some((d, i, k)) if d <= lease_total => (i, k),
+                _ => {
+                    let start = aligned_start(time, inst.structure().length(lk));
+                    let triple = Triple::new(li, lk, start);
+                    if !books.owns(triple) {
+                        books.buy_priced(time, triple, inst.cost(li, lk), CATEGORY_LEASE);
+                    }
+                    (li, lk)
+                }
+            };
+            books.charge(time, i, inst.distance(i, j), CATEGORY_CONNECTION);
+            self.assignments[j] = Some((i, k));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metric::Point;
     use crate::online::is_feasible;
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::{LeaseStructure, LeaseType};
+
+    /// Drives `alg` over every batch of `inst`; returns the driver's ledger.
+    fn drive(alg: &mut GreedyLease<'_>, inst: &FacilityInstance) -> Ledger {
+        let mut driver = Driver::new(alg, inst.structure().clone());
+        driver.submit_batch(inst.online_requests()).unwrap();
+        driver.into_parts().1
+    }
 
     fn lengths() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(4, 2.0), LeaseType::new(16, 6.0)]).unwrap()
@@ -130,10 +119,9 @@ mod tests {
         )
         .unwrap();
         let mut alg = GreedyLease::new(&inst);
-        let cost = alg.run();
-        assert!(cost > 0.0);
-        let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
-        assert!(is_feasible(&inst, &owned, &alg.assignments()));
+        let ledger = drive(&mut alg, &inst);
+        assert!(ledger.total_cost() > 0.0);
+        assert!(is_feasible(&inst, &ledger, &alg.assignments()));
     }
 
     #[test]
@@ -148,8 +136,7 @@ mod tests {
         )
         .unwrap();
         let mut alg = GreedyLease::new(&inst);
-        alg.run();
-        assert_eq!(alg.owned_leases().count(), 1);
+        assert_eq!(drive(&mut alg, &inst).leases_bought(), 1);
     }
 
     #[test]
@@ -162,7 +149,6 @@ mod tests {
         )
         .unwrap();
         let mut alg = GreedyLease::new(&inst);
-        alg.run();
-        assert_eq!(alg.owned_leases().count(), 1);
+        assert_eq!(drive(&mut alg, &inst).leases_bought(), 1);
     }
 }

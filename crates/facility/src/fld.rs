@@ -31,7 +31,7 @@ use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::time::{TimeStep, Window};
 use leasing_lp::{Cmp, IntegerProgram, LinearProgram};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Why an [`FldInstance`] operation failed.
 #[derive(Clone, Debug, PartialEq)]
@@ -322,7 +322,7 @@ impl FldInstance {
 pub fn build_fld_ilp(instance: &FldInstance) -> Result<(IntegerProgram, Vec<Triple>), FldError> {
     let base = instance.base();
     let mut lp = LinearProgram::new();
-    let mut x_of: HashMap<Triple, usize> = HashMap::new();
+    let mut x_of: BTreeMap<Triple, usize> = BTreeMap::new();
     let mut triples: Vec<Triple> = Vec::new();
 
     let mut per_client: Vec<(usize, Vec<Triple>)> = Vec::new();

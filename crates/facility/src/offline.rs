@@ -9,13 +9,13 @@ use crate::instance::FacilityInstance;
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_lp::{Cmp, IntegerProgram, LinearProgram};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Builds the Figure 4.1 ILP. Returns the program and the lease triple each
 /// `x` variable stands for.
 pub fn build_ilp(instance: &FacilityInstance) -> (IntegerProgram, Vec<Triple>) {
     let mut lp = LinearProgram::new();
-    let mut x_of: HashMap<Triple, usize> = HashMap::new();
+    let mut x_of: BTreeMap<Triple, usize> = BTreeMap::new();
     let mut triples: Vec<Triple> = Vec::new();
 
     // x variables: candidate aligned leases per facility/type/batch time.

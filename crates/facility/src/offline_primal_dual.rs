@@ -33,7 +33,7 @@ use crate::instance::FacilityInstance;
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::time::TimeStep;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Numeric tolerance of the event-driven dual growth.
 const EPS: f64 = 1e-9;
@@ -114,7 +114,7 @@ pub fn solve(instance: &FacilityInstance) -> PrimalDualSolution {
 
     // Candidate triples (aligned, deduplicated) and their covered demands.
     let structure = instance.structure();
-    let mut index_of: HashMap<Triple, usize> = HashMap::new();
+    let mut index_of: BTreeMap<Triple, usize> = BTreeMap::new();
     let mut triples: Vec<Triple> = Vec::new();
     let mut covered: Vec<Vec<usize>> = Vec::new();
     for (d_idx, d) in demands.iter().enumerate() {
@@ -335,7 +335,7 @@ fn dual_is_feasible(
 /// assigned to an opened triple whose window covers the client's arrival
 /// time, and the reported costs match the assignment.
 pub fn is_feasible(instance: &FacilityInstance, sol: &PrimalDualSolution) -> bool {
-    let mut times: HashMap<usize, TimeStep> = HashMap::new();
+    let mut times: BTreeMap<usize, TimeStep> = BTreeMap::new();
     for b in instance.batches() {
         for &j in &b.clients {
             times.insert(j, b.time);

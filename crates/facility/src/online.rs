@@ -19,26 +19,21 @@
 //! Competitive ratio: `4(3 + K) · H_{l_max}` (Theorem 4.5).
 
 use crate::instance::FacilityInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGORY_LEASE};
+use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::time::TimeStep;
-use std::collections::HashSet;
 
 const TIGHT_EPS: f64 = 1e-9;
 
 /// The state of the §4.3 online algorithm.
 ///
 /// The serve path derives which leases are permanently open from the
-/// ledger's coverage index
-/// ([`Ledger::owns`](leasing_core::engine::Ledger::owns)); the `owned` set
-/// is only a purchase mirror for the diagnostics accessors.
+/// ledger's coverage index ([`Ledger::owns`]); the ledger is the only
+/// record of the leases bought.
 #[derive(Debug)]
 pub struct PrimalDualFacility<'a> {
     instance: &'a FacilityInstance,
-    /// Purchase mirror backing [`owned_leases`](PrimalDualFacility::owned_leases)
-    /// and [`facility_active_at`](PrimalDualFacility::facility_active_at).
-    owned: HashSet<Triple>,
     /// `α̂_j` per client (fixed in the round of its arrival).
     alpha_hat: Vec<f64>,
     /// Final `(facility, lease type)` per client.
@@ -52,7 +47,6 @@ impl<'a> PrimalDualFacility<'a> {
     pub fn new(instance: &'a FacilityInstance) -> Self {
         PrimalDualFacility {
             instance,
-            owned: HashSet::new(),
             alpha_hat: vec![0.0; instance.num_clients()],
             assignments: vec![None; instance.num_clients()],
             arrived: Vec::new(),
@@ -71,19 +65,6 @@ impl<'a> PrimalDualFacility<'a> {
             .enumerate()
             .filter_map(|(j, a)| a.map(|(i, k)| (j, i, k)))
             .collect()
-    }
-
-    /// The permanently bought leases.
-    pub fn owned_leases(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
-    }
-
-    /// Whether facility `i` holds any lease active at time `t`.
-    pub fn facility_active_at(&self, i: usize, t: TimeStep) -> bool {
-        (0..self.instance.structure().num_types()).any(|k| {
-            let start = aligned_start(t, self.instance.structure().length(k));
-            self.owned.contains(&Triple::new(i, k, start))
-        })
     }
 
     fn process_round(&mut self, time: TimeStep, new_clients: &[usize], books: &mut Books<'_>) {
@@ -330,7 +311,6 @@ impl<'a> PrimalDualFacility<'a> {
                     if !books.owns(triple) {
                         books.buy_priced(time, triple, inst.cost(i, k), CATEGORY_LEASE);
                     }
-                    self.owned.insert(triple);
                 }
             }
             // Connect new clients whose tentative facility has type k.
@@ -394,10 +374,12 @@ impl<'a> LeasingAlgorithm for PrimalDualFacility<'a> {
 }
 
 /// Checks the feasibility invariant: every client is assigned to a facility
-/// whose lease was active at the client's arrival time.
+/// whose lease, bought in `ledger`, was active at the client's arrival
+/// time. The ledger must be uncompacted, so that it still owns every lease
+/// it bought.
 pub fn is_feasible(
     instance: &FacilityInstance,
-    owned: &HashSet<Triple>,
+    ledger: &Ledger,
     assignments: &[(usize, usize, usize)],
 ) -> bool {
     // client id -> arrival time
@@ -407,19 +389,24 @@ pub fn is_feasible(
             arrival[j] = Some(b.time);
         }
     }
-    let assigned: HashSet<usize> = assignments.iter().map(|&(j, _, _)| j).collect();
+    let mut assigned = vec![false; instance.num_clients()];
+    for &(j, _, _) in assignments {
+        if let Some(slot) = assigned.get_mut(j) {
+            *slot = true;
+        }
+    }
     if instance
         .batches()
         .iter()
         .flat_map(|b| &b.clients)
-        .any(|j| !assigned.contains(j))
+        .any(|&j| !assigned.get(j).copied().unwrap_or(false))
     {
         return false;
     }
     assignments.iter().all(|&(j, i, k)| {
         let Some(t) = arrival[j] else { return false };
         let start = aligned_start(t, instance.structure().length(k));
-        owned.contains(&Triple::new(i, k, start))
+        ledger.owns(Triple::new(i, k, start))
     })
 }
 
@@ -427,8 +414,9 @@ pub fn is_feasible(
 mod tests {
     use super::*;
     use crate::metric::Point;
-    use leasing_core::engine::{Driver, Ledger};
+    use leasing_core::engine::Driver;
     use leasing_core::lease::{LeaseStructure, LeaseType};
+    use std::collections::BTreeSet;
 
     /// Drives `alg` over every batch of `inst`; returns the driver's ledger.
     fn drive(alg: &mut PrimalDualFacility<'_>, inst: &FacilityInstance) -> Ledger {
@@ -457,10 +445,9 @@ mod tests {
     fn all_clients_end_up_feasibly_connected() {
         let inst = simple_instance();
         let mut alg = PrimalDualFacility::new(&inst);
-        let cost = drive(&mut alg, &inst).total_cost();
-        assert!(cost > 0.0);
-        let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
-        assert!(is_feasible(&inst, &owned, &alg.assignments()));
+        let ledger = drive(&mut alg, &inst);
+        assert!(ledger.total_cost() > 0.0);
+        assert!(is_feasible(&inst, &ledger, &alg.assignments()));
     }
 
     #[test]
@@ -499,14 +486,14 @@ mod tests {
         )
         .unwrap();
         let mut alg = PrimalDualFacility::new(&inst);
-        drive(&mut alg, &inst);
+        let ledger = drive(&mut alg, &inst);
         let assignments = alg.assignments();
         assert!(
             assignments.iter().all(|&(_, i, _)| i == 0),
             "{assignments:?}"
         );
         // Exactly one lease of facility 0 is bought in this round.
-        assert_eq!(alg.owned_leases().count(), 1);
+        assert_eq!(ledger.leases_bought(), 1);
     }
 
     #[test]
@@ -524,12 +511,8 @@ mod tests {
         )
         .unwrap();
         let mut alg = PrimalDualFacility::new(&inst);
-        drive(&mut alg, &inst);
-        assert_eq!(
-            alg.owned_leases().count(),
-            1,
-            "second client reuses the lease"
-        );
+        let ledger = drive(&mut alg, &inst);
+        assert_eq!(ledger.leases_bought(), 1, "second client reuses the lease");
         // The second client's dual is just its connection distance.
         assert!(alg.alpha_hat()[1] <= 0.2 + 1e-6);
     }
@@ -548,11 +531,8 @@ mod tests {
         )
         .unwrap();
         let mut alg = PrimalDualFacility::new(&inst);
-        drive(&mut alg, &inst);
-        assert!(
-            alg.owned_leases().count() >= 2,
-            "lease must be bought twice"
-        );
+        let ledger = drive(&mut alg, &inst);
+        assert!(ledger.leases_bought() >= 2, "lease must be bought twice");
     }
 
     #[test]
@@ -579,7 +559,7 @@ mod tests {
         .unwrap();
         let mut alg = PrimalDualFacility::new(&inst);
         drive(&mut alg, &inst);
-        let facilities: HashSet<usize> = alg.assignments().iter().map(|&(_, i, _)| i).collect();
+        let facilities: BTreeSet<usize> = alg.assignments().iter().map(|&(_, i, _)| i).collect();
         assert_eq!(
             facilities.len(),
             2,

@@ -12,7 +12,6 @@ use facility_leasing::online::{is_feasible, PrimalDualFacility};
 use facility_leasing::randomized::RandomizedFacility;
 use facility_leasing::series::h_series;
 use leasing_core::engine::{Driver, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
-use leasing_core::framework::Triple;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use proptest::prelude::*;
@@ -78,7 +77,7 @@ proptest! {
         let inst = random_instance(seed, 3, 3);
         let lb = offline::lp_lower_bound(&inst);
         let pd = drive(PrimalDualFacility::new(&inst), &inst).total_cost();
-        let greedy = GreedyLease::new(&inst).run();
+        let greedy = drive(GreedyLease::new(&inst), &inst).total_cost();
         let mut rnd_alg = RandomizedFacility::new(&inst, &mut seeded(rng_seed));
         let rnd_ledger = drive(&mut rnd_alg, &inst);
         let rnd = rnd_ledger.total_cost();
@@ -111,8 +110,7 @@ proptest! {
         let split = ledger.category_cost(CATEGORY_LEASE) + ledger.category_cost(CATEGORY_CONNECTION);
         prop_assert!((split - cost).abs() < 1e-9);
         prop_assert_eq!(alg.assignments().len(), inst.num_clients());
-        let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
-        prop_assert!(is_feasible(&inst, &owned, &alg.assignments()));
+        prop_assert!(is_feasible(&inst, &ledger, &alg.assignments()));
         let Some(opt) = offline::optimal_cost(&inst, 300_000) else {
             return Ok(());
         };

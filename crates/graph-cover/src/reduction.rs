@@ -241,8 +241,7 @@ mod tests {
             let mut driver = Driver::new(SmclOnline::new(&inst, 42), inst.structure.clone());
             driver.submit_batch(inst.online_requests()).unwrap();
             assert!(driver.cost() > 0.0);
-            let owned: std::collections::HashSet<_> = driver.algorithm().owned().copied().collect();
-            assert!(is_feasible_cover(&inst, &owned));
+            assert!(is_feasible_cover(&inst, driver.ledger()));
         }
     }
 }

@@ -19,7 +19,7 @@ use leasing_core::time::TimeStep;
 use leasing_core::EPS;
 use leasing_graph::graph::Graph;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Why a [`VcLeasingInstance`] failed validation.
 #[derive(Clone, Debug, PartialEq)]
@@ -134,9 +134,8 @@ impl VcLeasingInstance {
 #[derive(Clone, Debug)]
 pub struct VcPrimalDual<'a> {
     instance: &'a VcLeasingInstance,
-    contributions: HashMap<(usize, Lease), f64>,
+    contributions: BTreeMap<(usize, Lease), f64>,
     dual_value: f64,
-    purchases: Vec<(usize, Lease)>,
 }
 
 impl<'a> VcPrimalDual<'a> {
@@ -144,22 +143,15 @@ impl<'a> VcPrimalDual<'a> {
     pub fn new(instance: &'a VcLeasingInstance) -> Self {
         VcPrimalDual {
             instance,
-            contributions: HashMap::new(),
+            contributions: BTreeMap::new(),
             dual_value: 0.0,
-            purchases: Vec::new(),
         }
-    }
-
-    /// Whether edge `e` has a covered endpoint at `t` according to `ledger`.
-    fn covered_in(instance: &VcLeasingInstance, ledger: &Ledger, e: usize, t: TimeStep) -> bool {
-        let edge = instance.graph.edge(e);
-        ledger.covered(edge.u, t) || ledger.covered(edge.v, t)
     }
 
     /// Core primal-dual step for one edge arrival, recording purchases into
     /// `ledger`.
     fn serve_with(&mut self, t: TimeStep, e: usize, books: &mut Books<'_>) {
-        if Self::covered_in(self.instance, books, e, t) {
+        if edge_covered(self.instance, books, e, t) {
             return;
         }
         let edge = self.instance.graph.edge(e);
@@ -186,11 +178,10 @@ impl<'a> VcPrimalDual<'a> {
             let triple = Triple::new(v, lease.type_index, lease.start);
             if *entry >= price - EPS && !books.owns(triple) {
                 books.buy_priced(t, triple, price, CATEGORY_LEASE);
-                self.purchases.push((v, lease));
             }
         }
         debug_assert!(
-            Self::covered_in(self.instance, books, e, t),
+            edge_covered(self.instance, books, e, t),
             "primal-dual step must cover the edge"
         );
     }
@@ -199,11 +190,6 @@ impl<'a> VcPrimalDual<'a> {
     /// interval-model optimum.
     pub fn dual_value(&self) -> f64 {
         self.dual_value
-    }
-
-    /// Purchases as `(vertex, lease)` pairs in buy order.
-    pub fn purchases(&self) -> &[(usize, Lease)] {
-        &self.purchases
     }
 }
 
@@ -216,14 +202,20 @@ impl<'a> LeasingAlgorithm for VcPrimalDual<'a> {
     }
 }
 
-/// Whether `purchases` covers every arrival of `instance`.
-pub fn is_feasible(instance: &VcLeasingInstance, purchases: &[(usize, Lease)]) -> bool {
-    instance.arrivals.iter().all(|&(t, e)| {
-        let edge = instance.graph.edge(e);
-        purchases.iter().any(|&(v, lease)| {
-            (v == edge.u || v == edge.v) && lease.window(&instance.structure).contains(t)
-        })
-    })
+/// Whether edge `e` has a covered endpoint at `t` according to `ledger`.
+fn edge_covered(instance: &VcLeasingInstance, ledger: &Ledger, e: usize, t: TimeStep) -> bool {
+    let edge = instance.graph.edge(e);
+    ledger.covered(edge.u, t) || ledger.covered(edge.v, t)
+}
+
+/// Whether the leases bought in `ledger` cover every arrival of
+/// `instance`. The ledger must be uncompacted, so that its coverage still
+/// reaches back to the first arrival.
+pub fn is_feasible(instance: &VcLeasingInstance, ledger: &Ledger) -> bool {
+    instance
+        .arrivals
+        .iter()
+        .all(|&(t, e)| edge_covered(instance, ledger, e, t))
 }
 
 #[cfg(test)]
@@ -238,11 +230,12 @@ mod tests {
     use rand::RngExt;
     use set_cover_leasing::offline;
 
-    /// Drives `alg` over every arrival of `inst`; returns the total cost.
-    fn drive(alg: &mut VcPrimalDual<'_>, inst: &VcLeasingInstance) -> f64 {
+    /// Drives `alg` over every arrival of `inst`; returns the driver's
+    /// ledger.
+    fn drive(alg: &mut VcPrimalDual<'_>, inst: &VcLeasingInstance) -> Ledger {
         let mut driver = Driver::new(alg, inst.structure.clone());
         driver.submit_batch(inst.arrivals.iter().copied()).unwrap();
-        driver.cost()
+        driver.into_parts().1
     }
 
     fn structure() -> LeaseStructure {
@@ -261,12 +254,15 @@ mod tests {
         // every tight candidate.
         let inst = path_instance(vec![(0, 0)]);
         let mut alg = VcPrimalDual::new(&inst);
-        let cost = drive(&mut alg, &inst);
-        assert!((cost - 2.0).abs() < 1e-9);
-        assert_eq!(alg.purchases().len(), 2);
-        assert!(alg.purchases().iter().all(|&(_, l)| l.type_index == 0));
+        let ledger = drive(&mut alg, &inst);
+        assert!((ledger.total_cost() - 2.0).abs() < 1e-9);
+        assert_eq!(ledger.leases_bought(), 2);
+        assert!(ledger
+            .decisions()
+            .iter()
+            .all(|d| d.lease.is_some_and(|l| l.type_index == 0)));
         assert!((alg.dual_value() - 1.0).abs() < 1e-9);
-        assert!(is_feasible(&inst, alg.purchases()));
+        assert!(is_feasible(&inst, &ledger));
     }
 
     #[test]
@@ -275,8 +271,9 @@ mod tests {
         // tightens vertex-1 candidates, the second edge can reuse them.
         let inst = path_instance(vec![(0, 0), (0, 1)]);
         let mut alg = VcPrimalDual::new(&inst);
-        let cost = drive(&mut alg, &inst);
-        assert!(is_feasible(&inst, alg.purchases()));
+        let ledger = drive(&mut alg, &inst);
+        let cost = ledger.total_cost();
+        assert!(is_feasible(&inst, &ledger));
         // Never worse than covering each edge separately.
         assert!(cost <= 2.0 + 1e-9, "cost {cost}");
     }
@@ -296,10 +293,10 @@ mod tests {
         let g = leasing_graph::graph::Graph::new(2, vec![(0, 1, 1.0)]).unwrap();
         let inst = VcLeasingInstance::new(g, structure(), vec![100.0, 1.0], vec![(0, 0)]).unwrap();
         let mut alg = VcPrimalDual::new(&inst);
-        let cost = drive(&mut alg, &inst);
+        let ledger = drive(&mut alg, &inst);
         // The cheap endpoint must be bought, not the expensive one.
-        assert!((cost - 1.0).abs() < 1e-9);
-        assert!(alg.purchases().iter().all(|&(v, _)| v == 1));
+        assert!((ledger.total_cost() - 1.0).abs() < 1e-9);
+        assert!(ledger.decisions().iter().all(|d| d.element == 1));
     }
 
     #[test]
@@ -315,7 +312,7 @@ mod tests {
             }
             let inst = VcLeasingInstance::unweighted(g, structure(), arrivals).unwrap();
             let mut alg = VcPrimalDual::new(&inst);
-            let cost = drive(&mut alg, &inst);
+            let cost = drive(&mut alg, &inst).total_cost();
             let bound = 2.0 * inst.structure.num_types() as f64 * alg.dual_value();
             assert!(cost <= bound + 1e-6, "cost {cost} vs 2K·dual {bound}");
         }
@@ -330,7 +327,7 @@ mod tests {
             .collect();
         let inst = VcLeasingInstance::unweighted(g.clone(), structure(), arrivals.clone()).unwrap();
         let mut alg = VcPrimalDual::new(&inst);
-        let cost = drive(&mut alg, &inst);
+        let cost = drive(&mut alg, &inst).total_cost();
         let reduced = vertex_cover_instance(&g, structure(), &arrivals, None).unwrap();
         let opt = offline::optimal_cost(&reduced, 200_000).expect("tiny instance solves");
         assert!(
@@ -359,8 +356,9 @@ mod tests {
             }
             let inst = VcLeasingInstance::unweighted(g, structure(), arrivals).unwrap();
             let mut alg = VcPrimalDual::new(&inst);
-            let cost = drive(&mut alg, &inst);
-            prop_assert!(is_feasible(&inst, alg.purchases()));
+            let ledger = drive(&mut alg, &inst);
+            let cost = ledger.total_cost();
+            prop_assert!(is_feasible(&inst, &ledger));
             let bound = 2.0 * inst.structure.num_types() as f64 * alg.dual_value();
             prop_assert!(cost <= bound + 1e-6);
         }

@@ -85,8 +85,7 @@ proptest! {
         for inst in instances {
             let mut driver = Driver::new(SmclOnline::new(&inst, seed ^ 0xC0FFEE), inst.structure.clone());
             driver.submit_batch(inst.online_requests()).unwrap();
-            let owned: std::collections::HashSet<_> = driver.algorithm().owned().copied().collect();
-            prop_assert!(is_feasible_cover(&inst, &owned));
+            prop_assert!(is_feasible_cover(&inst, driver.ledger()));
         }
     }
 }

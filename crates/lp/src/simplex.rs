@@ -21,12 +21,12 @@
 
 use crate::model::{Cmp, LinearProgram, LpOutcome, LpSolution};
 use crate::LP_EPS;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Identity of an assembled row, stable across re-solves of a grown
 /// program: user constraints keep their insertion index, upper-bound rows
 /// follow their variable.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum RowId {
     /// The `i`-th explicitly added constraint.
     Constraint(usize),
@@ -35,7 +35,7 @@ enum RowId {
 }
 
 /// Identity of an assembled column, stable across re-solves.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum ColId {
     /// Structural variable `j`.
     Var(usize),
@@ -483,8 +483,8 @@ fn install_warm_basis(
     if warm.basis.is_empty() {
         return None;
     }
-    let row_of: HashMap<RowId, usize> = row_ids.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-    let col_of: HashMap<ColId, usize> = col_ids.iter().enumerate().map(|(j, &c)| (c, j)).collect();
+    let row_of: BTreeMap<RowId, usize> = row_ids.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+    let col_of: BTreeMap<ColId, usize> = col_ids.iter().enumerate().map(|(j, &c)| (c, j)).collect();
 
     let mut basis = default_basis.to_vec();
     for &(rid, cid) in &warm.basis {

@@ -11,7 +11,7 @@ use crate::{PermitOnline, PERMIT_ELEMENT};
 use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
-use leasing_core::lease::{Lease, LeaseStructure};
+use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
 use leasing_core::EPS;
 
@@ -36,8 +36,6 @@ pub struct DeterministicPrimalDual {
     /// Total dual value Σ y raised so far (a lower bound on the interval
     /// model optimum by weak duality — used by tests and experiments).
     dual_value: f64,
-    /// Purchase log in buy order.
-    purchases: Vec<Lease>,
 }
 
 impl DeterministicPrimalDual {
@@ -54,18 +52,12 @@ impl DeterministicPrimalDual {
             structure,
             contributions,
             dual_value: 0.0,
-            purchases: Vec::new(),
         }
     }
 
     /// The permit structure this algorithm leases from.
     pub fn structure(&self) -> &LeaseStructure {
         &self.structure
-    }
-
-    /// The leases bought so far, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
     }
 
     /// Total dual value `Σ_t y_t` raised so far. By weak duality this is a
@@ -100,7 +92,6 @@ impl PermitOnline for DeterministicPrimalDual {
             let triple = Triple::new(element, k, slot.0);
             if slot.1 >= structure.cost(k) - EPS && !books.owns(triple) {
                 books.buy_priced(t, triple, structure.cost(k), CATEGORY_LEASE);
-                self.purchases.push(Lease::new(k, slot.0));
             }
         }
         debug_assert!(
@@ -123,13 +114,23 @@ mod tests {
     use super::*;
     use crate::offline;
     use leasing_core::engine::Driver;
-    use leasing_core::lease::LeaseType;
+    use leasing_core::lease::{Lease, LeaseType};
     use leasing_core::rng::seeded;
     use rand::RngExt;
 
     /// A driver over the primal-dual algorithm for `s`.
     fn permit(s: LeaseStructure) -> Driver<DeterministicPrimalDual> {
         Driver::new(DeterministicPrimalDual::new(s.clone()), s)
+    }
+
+    /// The leases `driver` bought, in purchase order.
+    fn bought(driver: &Driver<DeterministicPrimalDual>) -> Vec<Lease> {
+        driver
+            .ledger()
+            .decisions()
+            .iter()
+            .filter_map(|d| d.lease)
+            .collect()
     }
 
     fn two_type() -> LeaseStructure {
@@ -141,7 +142,7 @@ mod tests {
         let mut driver = permit(two_type());
         driver.submit(5, ()).unwrap();
         // y = 1 makes the day lease tight first; only it is bought.
-        assert_eq!(driver.algorithm().purchases(), &[Lease::new(0, 5)]);
+        assert_eq!(bought(&driver), vec![Lease::new(0, 5)]);
         assert!((driver.cost() - 1.0).abs() < 1e-9);
         assert!((driver.algorithm().dual_value() - 1.0).abs() < 1e-9);
     }
@@ -157,12 +158,7 @@ mod tests {
         // (long gets 2). Day 2: y=1 makes long tight as well -> buy day + long.
         // Day 3: covered by the long lease, no purchase.
         assert!(driver.ledger().covered(PERMIT_ELEMENT, 3));
-        let bought_types: Vec<usize> = driver
-            .algorithm()
-            .purchases()
-            .iter()
-            .map(|l| l.type_index)
-            .collect();
+        let bought_types: Vec<usize> = bought(&driver).iter().map(|l| l.type_index).collect();
         assert_eq!(bought_types, vec![0, 0, 0, 1]);
         assert!((driver.cost() - 6.0).abs() < 1e-9);
     }

@@ -8,13 +8,13 @@ use crate::PermitInstance;
 use leasing_core::interval::candidates_covering;
 use leasing_core::lease::Lease;
 use leasing_lp::{Cmp, IntegerProgram, LinearProgram};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The ILP of Figure 2.2 for `instance`, together with the lease each
 /// variable represents.
 pub fn build_ilp(instance: &PermitInstance) -> (IntegerProgram, Vec<Lease>) {
     let mut lp = LinearProgram::new();
-    let mut var_of: HashMap<Lease, usize> = HashMap::new();
+    let mut var_of: BTreeMap<Lease, usize> = BTreeMap::new();
     let mut leases: Vec<Lease> = Vec::new();
     let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
 

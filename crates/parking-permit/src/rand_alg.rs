@@ -37,7 +37,6 @@ pub struct RandomizedPermit {
     /// Total fractional cost `Σ c_k · f_k` accumulated (for the Lemma-style
     /// instrumentation: fractional cost ≤ O(log K)·Opt).
     fractional_cost: f64,
-    purchases: Vec<Lease>,
 }
 
 impl RandomizedPermit {
@@ -60,7 +59,6 @@ impl RandomizedPermit {
             structure,
             tau,
             fractional_cost: 0.0,
-            purchases: Vec::new(),
         }
     }
 
@@ -73,11 +71,6 @@ impl RandomizedPermit {
     /// while-loop iteration; see the proof of claim (i) in §2.2.3).
     pub fn fractional_cost(&self) -> f64 {
         self.fractional_cost
-    }
-
-    /// The leases bought so far, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
     }
 
     fn fraction(&self, lease: &Lease) -> f64 {
@@ -141,7 +134,6 @@ impl PermitOnline for RandomizedPermit {
         let triple = Triple::new(element, lease.type_index, lease.start);
         if !books.owns(triple) {
             books.buy_priced(t, triple, lease.cost(&self.structure), CATEGORY_LEASE);
-            self.purchases.push(lease);
         }
         debug_assert!(books.covered(element, t));
     }
@@ -197,7 +189,7 @@ mod tests {
         // reaches 1, i.e. scanning from the longest type downward.
         let mut driver = permit(RandomizedPermit::with_threshold(structure(), 1.0));
         driver.submit(0, ()).unwrap();
-        assert_eq!(driver.algorithm().purchases().len(), 1);
+        assert_eq!(driver.ledger().leases_bought(), 1);
         assert!(driver.ledger().covered(PERMIT_ELEMENT, 0));
     }
 
@@ -209,7 +201,8 @@ mod tests {
             1e-12_f64.max(0.001),
         ));
         driver.submit(0, ()).unwrap();
-        assert_eq!(driver.algorithm().purchases()[0].type_index, 2);
+        let first = driver.ledger().decisions().first().and_then(|d| d.lease);
+        assert_eq!(first.map(|l| l.type_index), Some(2));
     }
 
     #[test]
@@ -266,7 +259,7 @@ mod tests {
             for t in [0u64, 3, 9, 27] {
                 driver.submit(t, ()).unwrap();
             }
-            (driver.cost(), driver.algorithm().purchases().to_vec())
+            (driver.cost(), driver.ledger().to_json())
         };
         assert_eq!(run(42), run(42));
     }

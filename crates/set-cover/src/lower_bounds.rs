@@ -116,7 +116,7 @@ pub fn drive_ppp_embedding(
     let mut driver = Driver::new(SmclOnline::new(&template, seed), structure.clone());
     let mut arrivals = Vec::new();
     for t in 0..horizon {
-        if !driver.algorithm().set_active_at(0, t) {
+        if !driver.ledger().covered(0, t) {
             driver
                 .submit(t, (0, 1))
                 // lint:allow(panic: t never decreases, so the driver never sees time travel)
@@ -164,8 +164,8 @@ pub fn drive_halving_adversary(
         while candidates.len() > 1 {
             let mid = candidates.len() / 2;
             let (first, second) = candidates.split_at(mid);
-            let alg = driver.algorithm();
-            let active = |half: &[usize]| half.iter().filter(|&&s| alg.set_active_at(s, t)).count();
+            let ledger = driver.ledger();
+            let active = |half: &[usize]| half.iter().filter(|&&s| ledger.covered(s, t)).count();
             let chosen: Vec<usize> = if active(first) <= active(second) {
                 first.to_vec()
             } else {

@@ -15,12 +15,12 @@ use crate::instance::SmclInstance;
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_lp::{Cmp, IntegerProgram, LinearProgram};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Enumerates the candidate triples of every arrival, deduplicated, plus a
 /// per-arrival list of indices into the candidate vector.
 fn enumerate_candidates(instance: &SmclInstance) -> (Vec<Triple>, Vec<Vec<usize>>) {
-    let mut index_of: HashMap<Triple, usize> = HashMap::new();
+    let mut index_of: BTreeMap<Triple, usize> = BTreeMap::new();
     let mut triples: Vec<Triple> = Vec::new();
     let mut per_arrival: Vec<Vec<usize>> = Vec::with_capacity(instance.arrivals.len());
     for a in &instance.arrivals {
@@ -67,7 +67,7 @@ pub fn build_ilp_distinct(instance: &SmclInstance) -> (IntegerProgram, Vec<Tripl
         .iter()
         .map(|tr| lp.add_bounded_var(instance.cost(tr.element, tr.type_index), 1.0))
         .collect();
-    let index_of: HashMap<Triple, usize> =
+    let index_of: BTreeMap<Triple, usize> =
         triples.iter().enumerate().map(|(i, t)| (*t, i)).collect();
     for a in &instance.arrivals {
         let mut y_vars = Vec::new();
@@ -126,7 +126,7 @@ pub fn lp_lower_bound(instance: &SmclInstance) -> f64 {
 pub fn greedy(instance: &SmclInstance) -> (f64, Vec<Triple>) {
     let (triples, per_arrival) = enumerate_candidates(instance);
     // arrival -> set -> already covering?
-    let mut covered_by: Vec<HashSet<usize>> = vec![HashSet::new(); instance.arrivals.len()];
+    let mut covered_by: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); instance.arrivals.len()];
     let mut residual: Vec<usize> = instance.arrivals.iter().map(|a| a.multiplicity).collect();
     // triple index -> arrivals it can serve
     let mut serves: Vec<Vec<usize>> = vec![Vec::new(); triples.len()];
@@ -136,7 +136,7 @@ pub fn greedy(instance: &SmclInstance) -> (f64, Vec<Triple>) {
         }
     }
     let mut bought: Vec<Triple> = Vec::new();
-    let mut bought_set: HashSet<usize> = HashSet::new();
+    let mut bought_set: BTreeSet<usize> = BTreeSet::new();
     let mut total = 0.0;
     loop {
         if residual.iter().all(|&r| r == 0) {
@@ -184,6 +184,7 @@ mod tests {
     use super::*;
     use crate::instance::Arrival;
     use crate::system::SetSystem;
+    use leasing_core::engine::Ledger;
     use leasing_core::lease::{LeaseStructure, LeaseType};
 
     fn lengths() -> LeaseStructure {
@@ -277,8 +278,11 @@ mod tests {
         .unwrap();
         let (cost, bought) = greedy(&inst);
         assert!(cost > 0.0);
-        let owned: HashSet<Triple> = bought.into_iter().collect();
-        assert!(crate::online::is_feasible_cover(&inst, &owned));
+        let mut ledger = Ledger::new(inst.structure.clone());
+        for triple in bought {
+            ledger.buy(0, triple);
+        }
+        assert!(crate::online::is_feasible_cover(&inst, &ledger));
     }
 
     #[test]

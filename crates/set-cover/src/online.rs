@@ -11,14 +11,14 @@
 //! Expected competitive ratio: `O(log(δK) · log n)` (Theorem 3.3).
 
 use crate::instance::SmclInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm};
+use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::rng::{min_of_uniforms, threshold_count};
 use leasing_core::time::TimeStep;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-run telemetry used by the Lemma 3.1 / Lemma 3.2 instrumentation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -47,16 +47,11 @@ pub struct SmclStats {
 pub struct SmclOnline<'a> {
     instance: &'a SmclInstance,
     /// Fraction per candidate triple (absent = 0).
-    fractions: HashMap<Triple, f64>,
+    fractions: BTreeMap<Triple, f64>,
     /// Lazily-sampled threshold `µ` per candidate triple.
-    thresholds: HashMap<Triple, f64>,
+    thresholds: BTreeMap<Triple, f64>,
     /// Number of uniforms whose minimum forms each threshold.
     q: u32,
-    /// Purchase mirror for the diagnostics accessors
-    /// ([`owned`](SmclOnline::owned)/[`set_active_at`](SmclOnline::set_active_at));
-    /// the serve path itself queries
-    /// [`Ledger::owns`](leasing_core::engine::Ledger::owns).
-    owned: HashSet<Triple>,
     stats: SmclStats,
     rng: StdRng,
 }
@@ -79,10 +74,9 @@ impl<'a> SmclOnline<'a> {
         assert!(q > 0, "threshold count must be positive");
         SmclOnline {
             instance,
-            fractions: HashMap::new(),
-            thresholds: HashMap::new(),
+            fractions: BTreeMap::new(),
+            thresholds: BTreeMap::new(),
             q,
-            owned: HashSet::new(),
             stats: SmclStats::default(),
             rng: StdRng::seed_from_u64(seed),
         }
@@ -93,19 +87,6 @@ impl<'a> SmclOnline<'a> {
         self.stats
     }
 
-    /// The triples leased so far.
-    pub fn owned(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
-    }
-
-    /// Whether set `s` holds a lease active at time `t`.
-    pub fn set_active_at(&self, s: usize, t: TimeStep) -> bool {
-        (0..self.instance.structure.num_types()).any(|k| {
-            let start = aligned_start(t, self.instance.structure.length(k));
-            self.owned.contains(&Triple::new(s, k, start))
-        })
-    }
-
     /// Serves one demand, recording purchases into the books.
     fn serve_with(
         &mut self,
@@ -114,7 +95,7 @@ impl<'a> SmclOnline<'a> {
         multiplicity: usize,
         books: &mut Books<'_>,
     ) {
-        let mut used_sets: HashSet<usize> = HashSet::new();
+        let mut used_sets: BTreeSet<usize> = BTreeSet::new();
         for _layer in 0..multiplicity {
             let covering = self.cover_once_with(t, element, &used_sets, books);
             used_sets.insert(covering);
@@ -132,7 +113,7 @@ impl<'a> SmclOnline<'a> {
         &mut self,
         t: TimeStep,
         element: usize,
-        excluded: &HashSet<usize>,
+        excluded: &BTreeSet<usize>,
         books: &mut Books<'_>,
     ) -> usize {
         let candidates = self.candidates(t, element, excluded);
@@ -166,7 +147,6 @@ impl<'a> SmclOnline<'a> {
             let mu = self.threshold(c);
             if f > mu && !books.owns(*c) {
                 let cost = self.instance.cost(c.element, c.type_index);
-                self.owned.insert(*c);
                 books.buy_priced(t, *c, cost, "rounded");
                 self.stats.rounded_cost += cost;
             }
@@ -187,7 +167,6 @@ impl<'a> SmclOnline<'a> {
                     })
                     .expect("candidates are non-empty");
                 let cost = self.instance.cost(cheapest.element, cheapest.type_index);
-                self.owned.insert(cheapest);
                 books.buy_priced(t, cheapest, cost, "fallback");
                 self.stats.fallback_cost += cost;
                 self.stats.fallbacks += 1;
@@ -199,7 +178,7 @@ impl<'a> SmclOnline<'a> {
     /// The candidate triples of `(element, t)`: for every containing set not
     /// excluded, the `K` aligned leases covering `t`. (`Triple.element`
     /// stores the *set* id — sets are the infrastructure being leased.)
-    fn candidates(&self, t: TimeStep, element: usize, excluded: &HashSet<usize>) -> Vec<Triple> {
+    fn candidates(&self, t: TimeStep, element: usize, excluded: &BTreeSet<usize>) -> Vec<Triple> {
         let mut out = Vec::new();
         for &s in self.instance.system.sets_containing(element) {
             if excluded.contains(&s) {
@@ -237,21 +216,25 @@ impl<'a> LeasingAlgorithm for SmclOnline<'a> {
     }
 }
 
-/// Verifies that `owned` covers every arrival of `instance` with the
-/// demanded number of distinct sets — the feasibility invariant of the
-/// problem definition (§3.2).
-pub fn is_feasible_cover(instance: &SmclInstance, owned: &HashSet<Triple>) -> bool {
+/// Verifies that the leases bought in `ledger` cover every arrival of
+/// `instance` with the demanded number of distinct sets — the feasibility
+/// invariant of the problem definition (§3.2). The ledger must be
+/// uncompacted, so that it still owns every lease it bought.
+pub fn is_feasible_cover(instance: &SmclInstance, ledger: &Ledger) -> bool {
+    let structure = &instance.structure;
     instance.arrivals.iter().all(|a| {
-        let mut covering_sets = HashSet::new();
-        for &s in instance.system.sets_containing(a.element) {
-            for k in 0..instance.structure.num_types() {
-                let start = aligned_start(a.time, instance.structure.length(k));
-                if owned.contains(&Triple::new(s, k, start)) {
-                    covering_sets.insert(s);
-                }
-            }
-        }
-        covering_sets.len() >= a.multiplicity
+        let covering_sets = instance
+            .system
+            .sets_containing(a.element)
+            .iter()
+            .filter(|&&s| {
+                (0..structure.num_types()).any(|k| {
+                    let start = aligned_start(a.time, structure.length(k));
+                    ledger.owns(Triple::new(s, k, start))
+                })
+            })
+            .count();
+        covering_sets >= a.multiplicity
     })
 }
 
@@ -263,11 +246,12 @@ mod tests {
     use leasing_core::engine::Driver;
     use leasing_core::lease::{LeaseStructure, LeaseType};
 
-    /// Drives `alg` over every arrival of `inst`; returns the total cost.
-    fn drive(alg: &mut SmclOnline<'_>, inst: &SmclInstance) -> f64 {
+    /// Drives `alg` over every arrival of `inst`; returns the driver's
+    /// ledger.
+    fn drive(alg: &mut SmclOnline<'_>, inst: &SmclInstance) -> Ledger {
         let mut driver = Driver::new(alg, inst.structure.clone());
         driver.submit_batch(inst.online_requests()).unwrap();
-        driver.cost()
+        driver.into_parts().1
     }
 
     fn lengths() -> LeaseStructure {
@@ -289,10 +273,9 @@ mod tests {
         let inst = SmclInstance::uniform(triangle_system(), lengths(), arrivals).unwrap();
         for seed in 0..10 {
             let mut alg = SmclOnline::new(&inst, seed);
-            let cost = drive(&mut alg, &inst);
-            assert!(cost > 0.0);
-            let owned: HashSet<Triple> = alg.owned().copied().collect();
-            assert!(is_feasible_cover(&inst, &owned), "seed {seed} infeasible");
+            let ledger = drive(&mut alg, &inst);
+            assert!(ledger.total_cost() > 0.0);
+            assert!(is_feasible_cover(&inst, &ledger), "seed {seed} infeasible");
         }
     }
 
@@ -301,8 +284,7 @@ mod tests {
         let system = SetSystem::new(1, vec![vec![0], vec![0], vec![0]]).unwrap();
         let inst = SmclInstance::uniform(system, lengths(), vec![Arrival::new(0, 0, 3)]).unwrap();
         let mut alg = SmclOnline::new(&inst, 3);
-        drive(&mut alg, &inst);
-        let sets: HashSet<usize> = alg.owned().map(|tr| tr.element).collect();
+        let sets: BTreeSet<usize> = drive(&mut alg, &inst).elements().map(|(s, _)| s).collect();
         assert_eq!(sets.len(), 3, "three distinct sets must hold leases");
     }
 
@@ -318,7 +300,7 @@ mod tests {
         )
         .unwrap();
         let mut alg = SmclOnline::new(&inst, 1);
-        let cost = drive(&mut alg, &inst);
+        let cost = drive(&mut alg, &inst).total_cost();
         // At most one extra purchase can happen (rounding may buy the other
         // candidate); cost is bounded by two cheap leases + one long.
         assert!(cost <= 2.0 * 3.0 + 2.0);
@@ -369,7 +351,7 @@ mod tests {
         .unwrap();
         let run = |seed| {
             let mut alg = SmclOnline::new(&inst, seed);
-            drive(&mut alg, &inst)
+            drive(&mut alg, &inst).total_cost()
         };
         assert_eq!(run(11).to_bits(), run(11).to_bits());
     }
@@ -379,8 +361,8 @@ mod tests {
         let inst = SmclInstance::uniform(triangle_system(), lengths(), vec![Arrival::new(0, 0, 1)])
             .unwrap();
         let mut alg = SmclOnline::new(&inst, 2);
-        drive(&mut alg, &inst);
+        let ledger = drive(&mut alg, &inst);
         // Some set covering element 0 is active at time 0.
-        assert!(alg.set_active_at(0, 0) || alg.set_active_at(2, 0));
+        assert!(ledger.covered(0, 0) || ledger.covered(2, 0));
     }
 }

@@ -14,7 +14,7 @@ use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::threshold_count;
 use leasing_core::time::TimeStep;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A lease length long enough to act as "buy forever" without overflowing
 /// window arithmetic.
@@ -31,7 +31,7 @@ pub fn buy_forever_structure(cost: f64) -> LeaseStructure {
 pub struct RepetitionsOnline<'a> {
     inner: SmclOnline<'a>,
     /// Sets already used for each element across *all* its past arrivals.
-    used: HashMap<usize, HashSet<usize>>,
+    used: BTreeMap<usize, BTreeSet<usize>>,
 }
 
 impl<'a> RepetitionsOnline<'a> {
@@ -64,13 +64,13 @@ impl<'a> RepetitionsOnline<'a> {
         );
         RepetitionsOnline {
             inner: SmclOnline::with_threshold_count(instance, seed, q),
-            used: HashMap::new(),
+            used: BTreeMap::new(),
         }
     }
 
     /// The distinct sets used for `element` so far.
     pub fn sets_used_for(&self, element: usize) -> usize {
-        self.used.get(&element).map(HashSet::len).unwrap_or(0)
+        self.used.get(&element).map(BTreeSet::len).unwrap_or(0)
     }
 
     /// Instrumentation counters of the underlying Chapter 3 machinery.
@@ -107,7 +107,7 @@ pub fn repetition_instance(
 ) -> Result<SmclInstance, InstanceError> {
     // Validate repetition feasibility: element e may arrive at most
     // |sets containing e| times in total.
-    let mut counts: HashMap<usize, usize> = HashMap::new();
+    let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
     for &(_, e) in &arrivals {
         *counts.entry(e).or_insert(0) += 1;
     }

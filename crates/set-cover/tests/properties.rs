@@ -59,8 +59,7 @@ proptest! {
         let mut driver = Driver::new(SmclOnline::new(&inst, alg_seed), inst.structure.clone());
         driver.submit_batch(inst.online_requests()).unwrap();
         prop_assert!(driver.cost() >= 0.0);
-        let owned: std::collections::HashSet<_> = driver.algorithm().owned().copied().collect();
-        prop_assert!(is_feasible_cover(&inst, &owned));
+        prop_assert!(is_feasible_cover(&inst, driver.ledger()));
     }
 
     /// LP bound <= ILP optimum <= greedy cost, and the online cost never

@@ -162,14 +162,14 @@ pub fn build_steiner_ilp(
     let s = &instance.structure;
     // Candidate purchases: aligned leases of every type at every request time.
     let mut candidates: Vec<(usize, Lease)> = Vec::new();
-    let mut index: std::collections::HashMap<(usize, Lease), usize> =
-        std::collections::HashMap::new();
+    let mut index: std::collections::BTreeMap<(usize, Lease), usize> =
+        std::collections::BTreeMap::new();
     let mut lp = LinearProgram::new();
     for e in 0..g.num_edges() {
         for k in 0..s.num_types() {
             for req in &instance.requests {
                 let lease = Lease::new(k, aligned_start(req.time, s.length(k)));
-                if let std::collections::hash_map::Entry::Vacant(entry) = index.entry((e, lease)) {
+                if let std::collections::btree_map::Entry::Vacant(entry) = index.entry((e, lease)) {
                     let var = lp.add_bounded_var(instance.lease_cost(e, k), 1.0);
                     entry.insert(var);
                     candidates.push((e, lease));

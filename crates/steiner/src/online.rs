@@ -233,10 +233,11 @@ mod tests {
         let g = Graph::new(2, vec![(0, 1, 1.0)]).unwrap();
         let inst = SteinerInstance::new(g, structure(), requests).unwrap();
         let driver = drive(SteinerLeasingOnline::new(&inst), &inst);
-        let long_bought = driver.algorithm().permits[0]
-            .purchases()
+        let long_bought = driver
+            .ledger()
+            .decisions()
             .iter()
-            .any(|l| l.type_index == 1);
+            .any(|d| d.lease.is_some_and(|l| l.type_index == 1));
         assert!(long_bought, "sustained demand must trigger the long lease");
     }
 
@@ -260,12 +261,12 @@ mod tests {
         ]);
         let driver = drive(SteinerLeasingOnline::new(&inst), &inst);
         let cost = driver.cost();
-        let mut solution: Vec<(usize, Lease)> = Vec::new();
-        for (e, permit) in driver.algorithm().permits.iter().enumerate() {
-            for &lease in permit.purchases() {
-                solution.push((e, lease));
-            }
-        }
+        let solution: Vec<(usize, Lease)> = driver
+            .ledger()
+            .decisions()
+            .iter()
+            .filter_map(|d| d.lease.map(|lease| (d.element, lease)))
+            .collect();
         assert!(is_feasible(&inst, &solution));
         assert!(
             (solution_cost(&inst, &solution) - cost).abs() < 1e-9,

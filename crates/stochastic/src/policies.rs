@@ -159,12 +159,14 @@ impl CoveringLease for EmpiricalRate {
     }
 }
 
+/// Algorithm 1 buys all its owned leases covering a served day `t` in a
+/// single step: a lease bought earlier that covers `t` also covers every
+/// later buy step before `t`, which then had nothing to buy. Within a step
+/// it buys in type order, so the shortest owned candidate is the covering
+/// lease it bought first.
 impl CoveringLease for parking_permit::det::DeterministicPrimalDual {
-    fn covering_lease_at(&self, _ledger: &Ledger, t: TimeStep) -> Option<Lease> {
-        self.purchases()
-            .iter()
-            .copied()
-            .find(|l| l.window(self.structure()).contains(t))
+    fn covering_lease_at(&self, ledger: &Ledger, t: TimeStep) -> Option<Lease> {
+        owned_candidate(self.structure(), ledger, t)
     }
 }
 

@@ -79,8 +79,8 @@ impl PricePath {
 /// prices: dual constraints tighten against the price *on the day the
 /// demand arrives* (leases are paid at current rates).
 ///
-/// Coverage and ownership are read from the books; the algorithm keeps
-/// only its purchase log.
+/// Coverage and ownership are read from the books, which are also the only
+/// record of what it bought.
 #[derive(Clone, Debug)]
 pub struct PriceAwarePermit<'a> {
     structure: LeaseStructure,
@@ -93,8 +93,6 @@ pub struct PriceAwarePermit<'a> {
     /// when its window slides — K slots instead of one map entry per
     /// aligned lease ever charged.
     contributions: Vec<(TimeStep, f64)>,
-    /// Purchase log in buy order.
-    purchases: Vec<Lease>,
 }
 
 impl<'a> PriceAwarePermit<'a> {
@@ -104,13 +102,7 @@ impl<'a> PriceAwarePermit<'a> {
             contributions: vec![(TimeStep::MAX, 0.0); structure.num_types()],
             structure,
             prices,
-            purchases: Vec::new(),
         }
-    }
-
-    /// The purchases made so far, in buy order.
-    pub fn owned(&self) -> impl Iterator<Item = &Lease> {
-        self.purchases.iter()
     }
 }
 
@@ -156,7 +148,6 @@ impl<'a> LeasingAlgorithm for PriceAwarePermit<'a> {
             };
             let triple = Triple::new(PERMIT_ELEMENT, c.type_index, c.start);
             if paid >= price(&c) - EPS && !books.owns(triple) {
-                self.purchases.push(c);
                 books.buy_priced(t, triple, price(&c), CATEGORY_LEASE);
             }
         }
@@ -297,27 +288,6 @@ mod tests {
             assert!(alg.ledger().covered(PERMIT_ELEMENT, t));
         }
         assert!(alg.cost() > 0.0);
-    }
-
-    #[test]
-    fn owned_lists_purchases_in_ledger_decision_order() {
-        let prices = PricePath::sample(&mut seeded(4), 256, 0.3, 0.5, 2.0);
-        let mut rng = seeded(5);
-        use rand::RngExt;
-        let demands: Vec<TimeStep> = (0..256).filter(|_| rng.random::<f64>() < 0.3).collect();
-        let mut driver = Driver::new(PriceAwarePermit::new(structure(), &prices), structure());
-        for &t in &demands {
-            driver.submit(t, ()).unwrap();
-        }
-        let bought: Vec<Lease> = driver
-            .ledger()
-            .decisions()
-            .iter()
-            .filter_map(|d| d.lease)
-            .collect();
-        let owned: Vec<Lease> = driver.algorithm().owned().copied().collect();
-        assert!(owned.len() > 1, "the run must buy several leases");
-        assert_eq!(owned, bought);
     }
 
     #[test]

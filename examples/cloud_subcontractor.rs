@@ -65,11 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pd_cost,
         pd.ledger().category_cost(CATEGORY_LEASE),
         pd.ledger().category_cost(CATEGORY_CONNECTION),
-        pd.algorithm().owned_leases().count()
+        pd.ledger().leases_bought()
     );
 
-    let mut greedy = GreedyLease::new(&instance);
-    let greedy_cost = greedy.run();
+    let mut greedy = Driver::new(GreedyLease::new(&instance), instance.structure().clone());
+    greedy.submit_batch(instance.online_requests())?;
+    let greedy_cost = greedy.cost();
     println!("greedy baseline:     total {greedy_cost:>7.2}");
 
     match offline::optimal_cost(&instance, 200_000) {

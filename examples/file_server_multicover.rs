@@ -38,16 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let requests: Vec<Arrival> = zipf_arrivals(&mut rng, &catalogue, 60, 64, 1.2, 2);
     let instance = SmclInstance::uniform(catalogue, leases, requests)?;
 
-    let mut alg = SmclOnline::new(&instance, 2015);
-    let mut driver = Driver::new(&mut alg, instance.structure.clone());
+    let mut driver = Driver::new(SmclOnline::new(&instance, 2015), instance.structure.clone());
     driver.submit_batch(instance.online_requests())?;
     let cost = driver.cost();
-    let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
-    assert!(is_feasible_cover(&instance, &owned));
+    assert!(is_feasible_cover(&instance, driver.ledger()));
     println!(
         "online cost {cost:.2} ({} server-leases; {} rounding fallbacks)",
-        owned.len(),
-        alg.stats().fallbacks
+        driver.ledger().leases_bought(),
+        driver.algorithm().stats().fallbacks
     );
 
     let (greedy_cost, _) = offline::greedy(&instance);

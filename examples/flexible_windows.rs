@@ -48,14 +48,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let instance = WindowInstance::new(contracts, tourists)?;
-    let mut alg = WindowPrimalDual::new(&instance);
-    let mut driver = Driver::new(&mut alg, instance.structure.clone());
+    let mut driver = Driver::new(WindowPrimalDual::new(&instance), instance.structure.clone());
     driver.submit_batch(instance.online_requests())?;
     let cost = driver.cost();
     println!(
         "online cost {cost:.2} with {} guide contracts; dual certificate {:.2}",
-        alg.purchases().len(),
-        alg.dual_value(),
+        driver.ledger().leases_bought(),
+        driver.algorithm().dual_value(),
     );
 
     match window_optimal_cost(&instance, 200_000) {

@@ -31,13 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let instance = OldInstance::new(contracts, tourists)?;
 
-    let mut alg = OldPrimalDual::new(&instance);
-    let mut driver = Driver::new(&mut alg, instance.structure.clone());
+    let mut driver = Driver::new(OldPrimalDual::new(&instance), instance.structure.clone());
     driver.submit_batch(instance.online_requests())?;
     let cost = driver.cost();
     println!(
         "online cost {cost:.2} ({} guide contracts)",
-        alg.purchases().len()
+        driver.ledger().leases_bought()
     );
     match offline::old_optimal_cost(&instance, 200_000) {
         Some(opt) => println!("offline optimum {opt:.2}; ratio {:.2}", cost / opt),

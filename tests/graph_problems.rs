@@ -103,20 +103,17 @@ fn vertex_cover_direct_vs_reduction() {
         }
         // Direct primal-dual.
         let vc = VcLeasingInstance::unweighted(g.clone(), structure(), arrivals.clone()).unwrap();
-        let mut direct = VcPrimalDual::new(&vc);
-        let mut driver = Driver::new(&mut direct, structure());
+        let mut driver = Driver::new(VcPrimalDual::new(&vc), structure());
         driver.submit_batch(arrivals.iter().copied()).unwrap();
         let direct_cost = driver.cost();
-        assert!(vc_feasible(&vc, direct.purchases()));
+        assert!(vc_feasible(&vc, driver.ledger()));
 
         // Randomized reduction through set multicover leasing.
         let reduced = vertex_cover_instance(&g, structure(), &arrivals, None).unwrap();
-        let mut randomized = SmclOnline::new(&reduced, 4040 + trial);
-        let mut driver = Driver::new(&mut randomized, structure());
+        let mut driver = Driver::new(SmclOnline::new(&reduced, 4040 + trial), structure());
         driver.submit_batch(reduced.online_requests()).unwrap();
         let randomized_cost = driver.cost();
-        let owned: std::collections::HashSet<_> = randomized.owned().copied().collect();
-        assert!(is_feasible_cover(&reduced, &owned));
+        assert!(is_feasible_cover(&reduced, driver.ledger()));
 
         // Both are online, so both are above the optimum; the direct one is
         // also below its deterministic guarantee.
