@@ -57,7 +57,7 @@ fn main() {
         let det = det_cost(&inst) / opt;
         let mut rand_stats = RatioStats::new();
         for s in 0..RAND_RUNS {
-            rand_stats.push(randomized_old(&inst, SEED + s).cost / opt);
+            rand_stats.push(randomized_old(&inst, SEED + s).total_cost() / opt);
         }
         table::row(
             &[
@@ -107,7 +107,7 @@ fn main() {
             det_stats.push(det_cost(&inst) / opt);
             let permit_inst = PermitInstance::new(structure.clone(), days.clone());
             for s in 0..4u64 {
-                rand_stats.push(randomized_old(&inst, SEED + 977 * t + s).cost / opt);
+                rand_stats.push(randomized_old(&inst, SEED + 977 * t + s).total_cost() / opt);
                 let mey = RandomizedPermit::new(structure.clone(), &mut seeded(SEED + 57 * t + s));
                 let mut mey = Driver::new(mey, structure.clone());
                 mey.submit_batch(permit_inst.demands.iter().map(|&d| (d, ())))

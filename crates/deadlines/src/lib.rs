@@ -64,6 +64,6 @@ pub mod windows;
 pub use capacitated::{CapacitatedOldInstance, FirstFitOnline, WeightedDemand};
 pub use multi_day::{MultiDayClient, MultiDayInstance, MultiDayOnline};
 pub use old::{OldClient, OldInstance, OldPrimalDual};
-pub use randomized::{randomized_old, RandomizedOldRun};
+pub use randomized::randomized_old;
 pub use scld::{ScldInstance, ScldOnline};
 pub use windows::{WindowClient, WindowInstance, WindowPrimalDual};

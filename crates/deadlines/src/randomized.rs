@@ -37,19 +37,10 @@ pub fn singleton_scld(instance: &OldInstance) -> ScldInstance {
         .expect("OLD clients are sorted and the element is coverable")
 }
 
-/// The outcome of one randomized-OLD run.
-#[derive(Clone, Debug)]
-pub struct RandomizedOldRun {
-    /// Total cost paid.
-    pub cost: f64,
-    /// The run's books. The one set is element
-    /// [`OLD_ELEMENT`](crate::old::OLD_ELEMENT), so the OLD checks read
-    /// them directly.
-    pub ledger: Ledger,
-}
-
 /// Runs the §5.5 randomized algorithm on an OLD instance with the given
-/// seed and returns its cost and books.
+/// seed and returns the run's ledger. The one set is element
+/// [`OLD_ELEMENT`](crate::old::OLD_ELEMENT), so the OLD checks read the
+/// ledger directly.
 ///
 /// ```
 /// use leasing_core::lease::{LeaseStructure, LeaseType};
@@ -65,23 +56,19 @@ pub struct RandomizedOldRun {
 ///     OldClient::new(0, 4),
 ///     OldClient::new(7, 2),
 /// ])?;
-/// let run = randomized_old(&instance, 42);
-/// assert!(is_feasible(&instance, &run.ledger));
+/// let ledger = randomized_old(&instance, 42);
+/// assert!(is_feasible(&instance, &ledger));
 /// # Ok(())
 /// # }
 /// ```
-pub fn randomized_old(instance: &OldInstance, seed: u64) -> RandomizedOldRun {
+pub fn randomized_old(instance: &OldInstance, seed: u64) -> Ledger {
     let scld = singleton_scld(instance);
     let mut driver = Driver::new(ScldOnline::new(&scld, seed), scld.structure.clone());
     driver
         .submit_batch(scld.online_requests())
         // lint:allow(panic: ScldInstance validates non-decreasing arrival times)
         .expect("validated arrivals are time-ordered");
-    let (_, ledger) = driver.into_parts();
-    RandomizedOldRun {
-        cost: ledger.total_cost(),
-        ledger,
-    }
+    driver.into_parts().1
 }
 
 #[cfg(test)]
@@ -122,17 +109,17 @@ mod tests {
         let inst = OldInstance::new(structure(), clients()).unwrap();
         let opt = offline::old_optimal_cost(&inst, 100_000).unwrap();
         for seed in 0..30u64 {
-            let run = randomized_old(&inst, seed);
-            assert!(is_feasible(&inst, &run.ledger), "seed {seed}");
-            assert!(run.cost >= opt - 1e-9, "seed {seed}: cost below opt");
-            let paid: f64 = run
-                .ledger
+            let ledger = randomized_old(&inst, seed);
+            assert!(is_feasible(&inst, &ledger), "seed {seed}");
+            let cost = ledger.total_cost();
+            assert!(cost >= opt - 1e-9, "seed {seed}: cost below opt");
+            let paid: f64 = ledger
                 .decisions()
                 .iter()
                 .filter_map(|d| d.lease)
                 .map(|l| l.cost(&inst.structure))
                 .sum();
-            assert!((paid - run.cost).abs() < 1e-9, "cost accounting");
+            assert!((paid - cost).abs() < 1e-9, "cost accounting");
         }
     }
 
@@ -145,7 +132,7 @@ mod tests {
         driver.submit_batch(inst.online_requests()).unwrap();
         let det = driver.cost();
         let mean_rand = (0..20u64)
-            .map(|s| randomized_old(&inst, s).cost)
+            .map(|s| randomized_old(&inst, s).total_cost())
             .sum::<f64>()
             / 20.0;
         let opt = tight_example_optimum(0.01);
@@ -158,8 +145,8 @@ mod tests {
     #[test]
     fn empty_instance_costs_nothing() {
         let inst = OldInstance::new(structure(), vec![]).unwrap();
-        let run = randomized_old(&inst, 1);
-        assert_eq!(run.cost, 0.0);
-        assert_eq!(run.ledger.leases_bought(), 0);
+        let ledger = randomized_old(&inst, 1);
+        assert_eq!(ledger.total_cost(), 0.0);
+        assert_eq!(ledger.leases_bought(), 0);
     }
 }
