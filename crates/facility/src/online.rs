@@ -23,6 +23,7 @@ use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION,
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::time::TimeStep;
+use std::collections::BTreeSet;
 
 const TIGHT_EPS: f64 = 1e-9;
 
@@ -389,17 +390,12 @@ pub fn is_feasible(
             arrival[j] = Some(b.time);
         }
     }
-    let mut assigned = vec![false; instance.num_clients()];
-    for &(j, _, _) in assignments {
-        if let Some(slot) = assigned.get_mut(j) {
-            *slot = true;
-        }
-    }
+    let assigned: BTreeSet<usize> = assignments.iter().map(|&(j, _, _)| j).collect();
     if instance
         .batches()
         .iter()
         .flat_map(|b| &b.clients)
-        .any(|&j| !assigned.get(j).copied().unwrap_or(false))
+        .any(|j| !assigned.contains(j))
     {
         return false;
     }
@@ -416,7 +412,6 @@ mod tests {
     use crate::metric::Point;
     use leasing_core::engine::Driver;
     use leasing_core::lease::{LeaseStructure, LeaseType};
-    use std::collections::BTreeSet;
 
     /// Drives `alg` over every batch of `inst`; returns the driver's ledger.
     fn drive(alg: &mut PrimalDualFacility<'_>, inst: &FacilityInstance) -> Ledger {
