@@ -2,13 +2,16 @@
 //! subroutines: per-edge permits (Steiner leasing), per-facility permits
 //! (randomized facility leasing), the price-aware permit, the
 //! prediction-robust `SwitchCombiner` and the Theorem 2.8 adaptive
-//! adversary.
+//! adversary; and for the deterministic primal-dual algorithms that raise
+//! a demand's dual until a candidate is tight (OLD, multi-day demands,
+//! service windows, vertex cover and the generic covering adapters).
 //!
 //! Each test drives a fixed-seed run through a [`Driver`] and compares the
-//! serialized ledger (or the adversary's demand list and cost bits) with a
-//! committed golden under `tests/golden/`, so a refactor of how the
-//! subroutines record their purchases cannot silently change a single
-//! decision, price or category.
+//! serialized ledger (plus the raised dual's bits, or the adversary's
+//! demand list and cost bits) with a committed golden under
+//! `tests/golden/`, so a refactor of how the algorithms raise their duals
+//! or record their purchases cannot silently change a single decision,
+//! price or category.
 //!
 //! Regenerate the goldens with `UPDATE_GOLDEN=1 cargo test --test
 //! composite_goldens` after an intentional behaviour change.
@@ -17,10 +20,17 @@ use online_resource_leasing::core::engine::Driver;
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::core::time::TimeStep;
+use online_resource_leasing::covering::{GenericDeterministicPermit, GenericOld};
+use online_resource_leasing::deadlines::multi_day::{
+    MultiDayClient, MultiDayInstance, MultiDayOnline,
+};
+use online_resource_leasing::deadlines::old::{OldClient, OldInstance, OldPrimalDual};
+use online_resource_leasing::deadlines::windows::{WindowClient, WindowInstance, WindowPrimalDual};
 use online_resource_leasing::facility::instance::FacilityInstance;
 use online_resource_leasing::facility::metric::Point;
 use online_resource_leasing::facility::randomized::RandomizedFacility;
 use online_resource_leasing::graph::graph::Graph;
+use online_resource_leasing::graph_cover::vertex_cover::{VcLeasingInstance, VcPrimalDual};
 use online_resource_leasing::parking_permit::adversary::run_adaptive_adversary;
 use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
 use online_resource_leasing::steiner::instance::{PairRequest, SteinerInstance};
@@ -221,4 +231,137 @@ fn switch_combiner_over_non_nested_lengths_matches_golden() {
         driver.ledger().to_json()
     );
     assert_matches_golden("switch-combiner-non-nested.json", &text);
+}
+
+/// The ledger of a primal-dual run next to the bits of its raised dual.
+fn ledger_and_dual(ledger_json: &str, dual_value: f64) -> String {
+    format!(
+        "{{\"dual_bits\":{},\"ledger\":{ledger_json}}}",
+        dual_value.to_bits()
+    )
+}
+
+/// Ninety seeded OLD clients over ~90 days with slacks up to 5, so the run
+/// crosses several aligned 16-day windows and buys every lease type.
+fn old_instance() -> OldInstance {
+    let mut rng = seeded(53);
+    let mut t = 0u64;
+    let clients = (0..90)
+        .map(|_| {
+            t += rng.random_range(0..3u64);
+            OldClient::new(t, rng.random_range(0..6u64))
+        })
+        .collect();
+    OldInstance::new(structure(), clients).unwrap()
+}
+
+#[test]
+fn old_primal_dual_ledger_and_dual_match_golden() {
+    let inst = old_instance();
+    let mut driver = Driver::new(OldPrimalDual::new(&inst), inst.structure.clone());
+    driver.submit_batch(inst.online_requests()).unwrap();
+    let text = ledger_and_dual(&driver.ledger().to_json(), driver.algorithm().dual_value());
+    assert_matches_golden("old-primal-dual.json", &text);
+}
+
+#[test]
+fn multi_day_ledger_matches_golden() {
+    let mut rng = seeded(59);
+    let mut t = 0u64;
+    let clients = (0..50)
+        .map(|_| {
+            t += rng.random_range(0..6u64);
+            let slack = rng.random_range(0..8u64);
+            let duration = 1 + rng.random_range(0..=slack.min(3));
+            MultiDayClient::new(t, slack, duration)
+        })
+        .collect();
+    let inst = MultiDayInstance::new(structure(), clients).unwrap();
+    let mut driver = Driver::new(MultiDayOnline::new(&inst), inst.structure.clone());
+    driver.submit_batch(inst.online_requests()).unwrap();
+    assert_matches_golden("multi-day-ledger.json", &driver.ledger().to_json());
+}
+
+#[test]
+fn window_primal_dual_ledger_and_dual_match_golden() {
+    let mut rng = seeded(61);
+    let mut t = 0u64;
+    let clients = (0..60)
+        .map(|i| {
+            t += rng.random_range(0..5u64);
+            match i % 3 {
+                0 => WindowClient::interval(t, rng.random_range(0..6u64)),
+                1 => WindowClient::periodic(t, 1 + rng.random_range(0..7u64), 3),
+                _ => {
+                    let first = t + rng.random_range(0..3u64);
+                    WindowClient::specific(t, vec![first, first + 5, first + 11]).unwrap()
+                }
+            }
+        })
+        .collect();
+    let inst = WindowInstance::new(structure(), clients).unwrap();
+    let mut driver = Driver::new(WindowPrimalDual::new(&inst), inst.structure.clone());
+    driver.submit_batch(inst.online_requests()).unwrap();
+    let text = ledger_and_dual(&driver.ledger().to_json(), driver.algorithm().dual_value());
+    assert_matches_golden("window-primal-dual.json", &text);
+}
+
+#[test]
+fn vertex_cover_primal_dual_ledger_and_dual_match_golden() {
+    let g = Graph::new(
+        6,
+        vec![
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (2, 3, 1.0),
+            (3, 4, 1.0),
+            (4, 5, 1.0),
+            (5, 0, 1.0),
+            (0, 3, 1.0),
+            (1, 4, 1.0),
+        ],
+    )
+    .unwrap();
+    let mut rng = seeded(67);
+    let mut t = 0u64;
+    let arrivals = (0..120)
+        .map(|_| {
+            t += rng.random_range(0..2u64);
+            (t, rng.random_range(0..8usize))
+        })
+        .collect();
+    let weights = vec![1.0, 1.5, 0.75, 2.0, 1.25, 1.0];
+    let inst = VcLeasingInstance::new(g, structure(), weights, arrivals).unwrap();
+    let mut driver = Driver::new(VcPrimalDual::new(&inst), inst.structure.clone());
+    driver.submit_batch(inst.arrivals.iter().copied()).unwrap();
+    let text = ledger_and_dual(&driver.ledger().to_json(), driver.algorithm().dual_value());
+    assert_matches_golden("vertex-cover-primal-dual.json", &text);
+}
+
+#[test]
+fn generic_deterministic_permit_ledger_and_dual_match_golden() {
+    let mut driver = Driver::new(GenericDeterministicPermit::new(structure()), structure());
+    driver
+        .submit_batch(phased_days().into_iter().map(|t| (t, ())))
+        .unwrap();
+    let text = ledger_and_dual(&driver.ledger().to_json(), driver.algorithm().dual_value());
+    assert_matches_golden("generic-deterministic-permit.json", &text);
+}
+
+#[test]
+fn generic_old_purchases_and_cost_match_golden() {
+    let inst = old_instance();
+    let mut alg = GenericOld::new(&inst);
+    let cost = alg.run();
+    let purchases: Vec<(usize, TimeStep)> = alg
+        .purchases()
+        .iter()
+        .map(|l| (l.type_index, l.start))
+        .collect();
+    let text = format!(
+        "{{\"purchases\":{purchases:?},\"cost_bits\":{},\"dual_bits\":{}}}",
+        cost.to_bits(),
+        alg.dual_value().to_bits()
+    );
+    assert_matches_golden("generic-old.json", &text);
 }
