@@ -206,8 +206,10 @@ fn main() {
             let mut spec = Driver::new(OldPrimalDual::new(&inst), inst.structure.clone());
             spec.submit_batch(inst.online_requests())
                 .expect("clients arrive in time order");
-            let mut gen = GenericOld::new(&inst);
-            let (a, b) = (spec.cost(), gen.run());
+            let mut gen = Driver::new(GenericOld::new(&inst), inst.structure.clone());
+            gen.submit_batch(inst.online_requests())
+                .expect("clients arrive in time order");
+            let (a, b) = (spec.cost(), gen.cost());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;

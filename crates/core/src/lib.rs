@@ -9,6 +9,8 @@
 //! * [`time`] — the discrete time model and half-open [`Window`]s,
 //! * [`interval`] — Meyerson's *interval model* (Definition 2.5) together with
 //!   the Lemma 2.6 transformation between the general and the interval model,
+//! * [`dual`] — the deterministic primal-dual step "raise the demand's dual
+//!   until a candidate is tight" shared by every deterministic algorithm,
 //! * [`framework`] — the leasing framework of §2.3 that turns an online
 //!   covering problem into its leasing variant,
 //! * [`engine`] — the unified driver-facing API: [`LeasingAlgorithm`],
@@ -38,7 +40,7 @@
 //! # }
 //! ```
 
-pub mod cost;
+pub mod dual;
 pub mod engine;
 pub mod framework;
 pub mod harness;
@@ -47,7 +49,6 @@ pub mod lease;
 pub mod rng;
 pub mod time;
 
-pub use cost::CostMeter;
 pub use engine::{
     Books, Decision, Driver, DriverError, EngineHandle, EngineStats, LeasingAlgorithm, Ledger,
     Report, SnapshotError,

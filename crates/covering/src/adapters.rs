@@ -13,10 +13,10 @@
 //! adapters add is the engine's online dual certificate: a per-run certified
 //! lower bound on the offline optimum that needs no ILP solve.
 
-use crate::dual_ascent::DualAscent;
 use crate::engine::{CoveringEngine, EngineStats};
 use crate::fractional::{DualCertificate, FractionalCovering};
 use crate::rounding::suffix_crossing;
+use leasing_core::dual::DualAscent;
 use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::{aligned_start, candidates_covering, candidates_intersecting};
@@ -24,7 +24,7 @@ use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::rng::threshold_count;
 use leasing_core::time::TimeStep;
 use leasing_core::EPS;
-use leasing_deadlines::old::{OldClient, OldInstance};
+use leasing_deadlines::old::{OldClient, OldInstance, OLD_ELEMENT};
 use leasing_deadlines::scld::{ScldArrival, ScldInstance};
 use parking_permit::PERMIT_ELEMENT;
 use rand::{Rng, RngExt};
@@ -324,7 +324,7 @@ impl<'a> GenericScld<'a> {
 #[derive(Clone, Debug)]
 pub struct GenericDeterministicPermit {
     structure: LeaseStructure,
-    engine: DualAscent<Lease>,
+    duals: DualAscent<Lease>,
 }
 
 impl GenericDeterministicPermit {
@@ -333,7 +333,7 @@ impl GenericDeterministicPermit {
     pub fn new(structure: LeaseStructure) -> Self {
         GenericDeterministicPermit {
             structure,
-            engine: DualAscent::new(),
+            duals: DualAscent::new(),
         }
     }
 
@@ -344,7 +344,7 @@ impl GenericDeterministicPermit {
 
     /// Total dual value `Σ y` raised (the Theorem 2.7 lower bound).
     pub fn dual_value(&self) -> f64 {
-        self.engine.dual_value()
+        self.duals.dual_value()
     }
 }
 
@@ -355,13 +355,18 @@ impl LeasingAlgorithm for GenericDeterministicPermit {
         if books.covered(PERMIT_ELEMENT, t) {
             return;
         }
-        let candidates: Vec<(Lease, f64)> = candidates_covering(&self.structure, t)
+        let structure = &self.structure;
+        self.duals.retire(|l| l.window(structure).end() > t);
+        let candidates: Vec<(Lease, f64)> = candidates_covering(structure, t)
             .into_iter()
-            .map(|l| (l, l.cost(&self.structure)))
+            .map(|l| (l, l.cost(structure)))
             .collect();
-        for lease in self.engine.serve(&candidates) {
+        self.duals.raise(&candidates);
+        for (lease, price) in candidates {
             let triple = Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start);
-            books.buy_priced(t, triple, lease.cost(&self.structure), CATEGORY_LEASE);
+            if self.duals.is_tight(&lease, price) && !books.owns(triple) {
+                books.buy_priced(t, triple, price, CATEGORY_LEASE);
+            }
         }
         debug_assert!(books.covered(PERMIT_ELEMENT, t));
     }
@@ -369,17 +374,16 @@ impl LeasingAlgorithm for GenericDeterministicPermit {
 
 /// The §5.3 deterministic OLD algorithm as a [`DualAscent`] instance:
 /// Step 1 raises over the window's candidates and buys the tight
-/// arrival-day leases; Step 2 mirrors them at the deadline via forced
-/// purchases.
+/// arrival-day leases; Step 2 mirrors them at the deadline. A request is
+/// the arriving client's slack, as for `OldPrimalDual`.
 ///
 /// Bit-for-bit equivalent to
 /// [`OldPrimalDual`](leasing_deadlines::old::OldPrimalDual).
 #[derive(Clone, Debug)]
 pub struct GenericOld<'a> {
     instance: &'a OldInstance,
-    engine: DualAscent<Lease>,
+    duals: DualAscent<Lease>,
     positive_clients: Vec<OldClient>,
-    next_client: usize,
 }
 
 impl<'a> GenericOld<'a> {
@@ -387,47 +391,30 @@ impl<'a> GenericOld<'a> {
     pub fn new(instance: &'a OldInstance) -> Self {
         GenericOld {
             instance,
-            engine: DualAscent::new(),
+            duals: DualAscent::new(),
             positive_clients: Vec::new(),
-            next_client: 0,
         }
-    }
-
-    /// Serves all remaining clients; returns the total cost.
-    pub fn run(&mut self) -> f64 {
-        while self.next_client < self.instance.clients.len() {
-            let c = self.instance.clients[self.next_client];
-            self.next_client += 1;
-            self.serve(c);
-        }
-        self.engine.total_cost()
-    }
-
-    /// Total cost paid so far.
-    pub fn total_cost(&self) -> f64 {
-        self.engine.total_cost()
     }
 
     /// Total dual value raised.
     pub fn dual_value(&self) -> f64 {
-        self.engine.dual_value()
+        self.duals.dual_value()
     }
 
-    /// The leases bought, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        self.engine.purchases()
+    /// Buys `lease` unless the books already own it.
+    fn buy(t: TimeStep, lease: Lease, books: &mut Books<'_>) {
+        let triple = Triple::new(OLD_ELEMENT, lease.type_index, lease.start);
+        if !books.owns(triple) {
+            books.buy(t, triple);
+        }
     }
+}
 
-    /// Whether `client`'s window holds an owned lease.
-    pub fn is_served(&self, client: &OldClient) -> bool {
-        let w = client.window();
-        candidates_intersecting(&self.instance.structure, w)
-            .into_iter()
-            .any(|l| self.engine.owns(&l))
-    }
+impl<'a> LeasingAlgorithm for GenericOld<'a> {
+    type Request = u64;
 
-    /// Serves one client (fed in arrival order).
-    pub fn serve(&mut self, client: OldClient) {
+    fn on_request(&mut self, t: TimeStep, slack: u64, mut books: Books<'_>) {
+        let client = OldClient::new(t, slack);
         // §5.3 precondition: skip clients intersecting a previous
         // positive-dual client at its deadline — the Step 2 mirror already
         // serves them.
@@ -437,28 +424,27 @@ impl<'a> GenericOld<'a> {
                 && p.deadline() <= client.deadline()
         });
         if skip {
-            debug_assert!(self.is_served(&client));
+            debug_assert!(books.covered_during(OLD_ELEMENT, client.window()));
             return;
         }
 
         // Step 1: raise over the whole window's candidates.
         let structure = &self.instance.structure;
+        self.duals.retire(|l| l.window(structure).end() > t);
         let candidates: Vec<(Lease, f64)> = candidates_intersecting(structure, client.window())
             .into_iter()
             .map(|l| (l, l.cost(structure)))
             .collect();
-        let delta = self.engine.raise(&candidates);
-        if delta > EPS {
+        if self.duals.raise(&candidates) > EPS {
             self.positive_clients.push(client);
         }
 
         // Buy every tight candidate covering the arrival day.
         let mut bought_types = Vec::new();
-        for lease in candidates_covering(structure, client.arrival) {
-            let cost = lease.cost(structure);
-            if self.engine.is_tight(&lease, cost) {
+        for lease in candidates_covering(structure, t) {
+            if self.duals.is_tight(&lease, lease.cost(structure)) {
                 bought_types.push(lease.type_index);
-                self.engine.buy(lease, cost);
+                Self::buy(t, lease, &mut books);
             }
         }
         debug_assert!(
@@ -469,13 +455,11 @@ impl<'a> GenericOld<'a> {
         // Step 2: mirror at the deadline.
         if client.slack > 0 {
             for k in bought_types {
-                let len = structure.length(k);
-                let start = aligned_start(client.deadline(), len);
-                let lease = Lease::new(k, start);
-                self.engine.buy(lease, lease.cost(structure));
+                let start = aligned_start(client.deadline(), structure.length(k));
+                Self::buy(t, Lease::new(k, start), &mut books);
             }
         }
-        debug_assert!(self.is_served(&client));
+        debug_assert!(books.covered_during(OLD_ELEMENT, client.window()));
     }
 }
 
@@ -692,24 +676,15 @@ mod tests {
         let inst = OldInstance::new(structure(), clients).expect("sorted clients");
         let mut driver = Driver::new(OldPrimalDual::new(&inst), inst.structure.clone());
         driver.submit_batch(inst.online_requests()).unwrap();
-        let spec_cost = driver.cost();
-        let spec_leases: Vec<Lease> = driver
-            .ledger()
-            .decisions()
-            .iter()
-            .filter_map(|d| d.lease)
-            .collect();
-        let mut gen = GenericOld::new(&inst);
-        let gen_cost = gen.run();
-        assert_eq!(spec_cost.to_bits(), gen_cost.to_bits());
-        assert_eq!(spec_leases, gen.purchases());
+        let mut gen = Driver::new(GenericOld::new(&inst), inst.structure.clone());
+        gen.submit_batch(inst.online_requests()).unwrap();
+        assert_eq!(driver.cost().to_bits(), gen.cost().to_bits());
+        assert_eq!(driver.ledger().decisions(), gen.ledger().decisions());
         assert_eq!(
             driver.algorithm().dual_value().to_bits(),
-            gen.dual_value().to_bits()
+            gen.algorithm().dual_value().to_bits()
         );
-        for c in &inst.clients {
-            assert!(gen.is_served(c));
-        }
+        assert!(leasing_deadlines::old::is_feasible(&inst, gen.ledger()));
     }
 
     #[test]
@@ -719,13 +694,13 @@ mod tests {
         let days = [0u64, 1, 5, 20, 21, 40];
         let clients: Vec<OldClient> = days.iter().map(|&t| OldClient::new(t, 0)).collect();
         let inst = OldInstance::new(structure(), clients).expect("sorted clients");
-        let mut old = GenericOld::new(&inst);
-        let old_cost = old.run();
+        let mut old = Driver::new(GenericOld::new(&inst), inst.structure.clone());
+        old.submit_batch(inst.online_requests()).unwrap();
         let mut permit = drive(GenericDeterministicPermit::new(structure()));
         for &t in &days {
             permit.submit(t, ()).unwrap();
         }
-        assert_eq!(old_cost.to_bits(), permit.cost().to_bits());
+        assert_eq!(old.cost().to_bits(), permit.cost().to_bits());
     }
 
     #[test]

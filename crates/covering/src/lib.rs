@@ -23,13 +23,16 @@
 //!
 //! The thesis' *deterministic* primal-dual algorithms (Algorithm 1,
 //! Theorem 2.7; the §5.3 OLD algorithm, Theorem 5.3) share the dual-ascent
-//! step "raise until tight, buy tight candidates", isolated here as
-//! [`DualAscent`].
+//! step "raise until tight, buy tight candidates", which lives in
+//! [`leasing_core::dual`] and is the one copy every deterministic algorithm
+//! of the workspace calls.
 //!
 //! The [`adapters`] module re-derives all five thesis algorithms as engine
-//! instances and proves them *bit-for-bit equivalent* to the specialized
-//! implementations in `parking-permit`, `set-cover-leasing` and
-//! `leasing-deadlines` (experiment E28).
+//! instances (the two deterministic ones over
+//! [`DualAscent`](leasing_core::dual::DualAscent)) and proves them
+//! *bit-for-bit equivalent* to the specialized implementations in
+//! `parking-permit`, `set-cover-leasing` and `leasing-deadlines`
+//! (experiment E28).
 //!
 //! ```
 //! use online_covering::CoveringEngine;
@@ -47,7 +50,6 @@
 //! ```
 
 pub mod adapters;
-pub mod dual_ascent;
 pub mod engine;
 pub mod fractional;
 pub mod rounding;
@@ -55,7 +57,6 @@ pub mod rounding;
 pub use adapters::{
     GenericDeterministicPermit, GenericOld, GenericParkingPermit, GenericScld, GenericSmcl,
 };
-pub use dual_ascent::DualAscent;
 pub use engine::{CoveringEngine, EngineStats};
 pub use fractional::{DualCertificate, FractionalCovering};
 pub use rounding::{suffix_crossing, ThresholdSampler};

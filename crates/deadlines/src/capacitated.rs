@@ -155,6 +155,10 @@ struct CopyState {
 pub struct FirstFitOnline<'a> {
     instance: &'a CapacitatedOldInstance,
     copies: Vec<CopyState>,
+    /// Indices of the copies whose window has not ended before the latest
+    /// arrival, ascending: arrivals are time-ordered, so no later demand
+    /// can use a copy that drops out.
+    live: Vec<usize>,
     /// `(copy index, service day)` per demand, in serve order.
     assignments: Vec<(usize, TimeStep)>,
 }
@@ -165,6 +169,7 @@ impl<'a> FirstFitOnline<'a> {
         FirstFitOnline {
             instance,
             copies: Vec::new(),
+            live: Vec::new(),
             assignments: Vec::new(),
         }
     }
@@ -173,12 +178,20 @@ impl<'a> FirstFitOnline<'a> {
     fn serve_with(&mut self, demand: WeightedDemand, rule: BuyRule, books: &mut Books<'_>) {
         let s = &self.instance.structure;
         let cap = self.instance.capacity;
+        let copies = &self.copies;
+        self.live.retain(|&ci| {
+            copies
+                .get(ci)
+                .is_some_and(|c| c.lease.window(s).end() > demand.arrival)
+        });
         // First fit: earliest day of the window on which an existing copy
-        // has room.
+        // has room, lowest copy index first.
         for t in demand.window().iter() {
-            let fit = self.copies.iter().position(|c| {
-                c.lease.window(s).contains(t)
-                    && c.load.get(&t).copied().unwrap_or(0.0) + demand.weight <= cap + 1e-12
+            let fit = self.live.iter().copied().find(|&ci| {
+                copies.get(ci).is_some_and(|c| {
+                    c.lease.window(s).contains(t)
+                        && c.load.get(&t).copied().unwrap_or(0.0) + demand.weight <= cap + 1e-12
+                })
             });
             if let Some(ci) = fit {
                 *self.copies[ci].load.entry(t).or_insert(0.0) += demand.weight;
@@ -204,6 +217,7 @@ impl<'a> FirstFitOnline<'a> {
         );
         let mut load = BTreeMap::new();
         load.insert(demand.arrival, demand.weight);
+        self.live.push(self.copies.len());
         self.copies.push(CopyState {
             lease: chosen,
             load,

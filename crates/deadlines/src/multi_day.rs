@@ -13,12 +13,12 @@
 //! contributions across clients. The exact ILP below calibrates it on small
 //! instances.
 
+use leasing_core::dual::DualAscent;
 use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_covering;
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::{TimeStep, Window};
-use leasing_core::EPS;
 use leasing_lp::{Cmp, IlpOutcome, IntegerProgram, LinearProgram};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -138,7 +138,7 @@ impl MultiDayInstance {
 #[derive(Clone, Debug)]
 pub struct MultiDayOnline<'a> {
     instance: &'a MultiDayInstance,
-    contributions: BTreeMap<Lease, f64>,
+    duals: DualAscent<Lease>,
     /// Chosen service block start per served client (in client order).
     service_starts: Vec<TimeStep>,
 }
@@ -148,7 +148,7 @@ impl<'a> MultiDayOnline<'a> {
     pub fn new(instance: &'a MultiDayInstance) -> Self {
         MultiDayOnline {
             instance,
-            contributions: BTreeMap::new(),
+            duals: DualAscent::new(),
             service_starts: Vec::new(),
         }
     }
@@ -172,6 +172,9 @@ impl<'a> MultiDayOnline<'a> {
         }
         let (_, start) = best.expect("validated clients have at least one block");
         self.service_starts.push(start);
+        let structure = &self.instance.structure;
+        self.duals
+            .retire(|c| c.window(structure).end() > client.arrival);
         for t in client.block_at(start).iter() {
             self.permit_step(t, books);
         }
@@ -182,19 +185,15 @@ impl<'a> MultiDayOnline<'a> {
         if books.covered(0, t) {
             return;
         }
-        let candidates = candidates_covering(&self.instance.structure, t);
-        let delta = candidates
-            .iter()
-            .map(|c| {
-                let used = self.contributions.get(c).copied().unwrap_or(0.0);
-                (c.cost(&self.instance.structure) - used).max(0.0)
-            })
-            .fold(f64::INFINITY, f64::min);
-        for c in candidates {
-            let entry = self.contributions.entry(c).or_insert(0.0);
-            *entry += delta;
+        let structure = &self.instance.structure;
+        let candidates: Vec<(Lease, f64)> = candidates_covering(structure, t)
+            .into_iter()
+            .map(|c| (c, c.cost(structure)))
+            .collect();
+        self.duals.raise(&candidates);
+        for (c, price) in candidates {
             let triple = Triple::new(0, c.type_index, c.start);
-            if *entry >= c.cost(&self.instance.structure) - EPS && !books.owns(triple) {
+            if self.duals.is_tight(&c, price) && !books.owns(triple) {
                 books.buy(t, triple);
             }
         }

@@ -10,13 +10,13 @@
 //! optimal `O(K)` ratio; general windows give `Θ(K + d_max/l_min)`
 //! (Theorem 5.3).
 
+use leasing_core::dual::DualAscent;
 use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
 use leasing_core::framework::Triple;
 use leasing_core::interval::{candidates_covering, candidates_intersecting};
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::{TimeStep, Window};
 use leasing_core::EPS;
-use std::collections::BTreeMap;
 
 /// A client with a service window: arrives at `arrival`, must be served by
 /// `arrival + slack` (the window `[arrival, arrival + slack]`, inclusive).
@@ -115,11 +115,10 @@ impl OldInstance {
 #[derive(Clone, Debug)]
 pub struct OldPrimalDual<'a> {
     instance: &'a OldInstance,
-    /// Dual contribution accumulated per candidate lease.
-    contributions: BTreeMap<Lease, f64>,
+    /// Dual mass paid per candidate lease, and the dual raised.
+    duals: DualAscent<Lease>,
     /// Clients with a strictly positive dual variable, with their dual.
     positive_clients: Vec<(OldClient, f64)>,
-    dual_value: f64,
 }
 
 /// The single leased resource of the OLD problem; its element id in the
@@ -131,16 +130,15 @@ impl<'a> OldPrimalDual<'a> {
     pub fn new(instance: &'a OldInstance) -> Self {
         OldPrimalDual {
             instance,
-            contributions: BTreeMap::new(),
+            duals: DualAscent::new(),
             positive_clients: Vec::new(),
-            dual_value: 0.0,
         }
     }
 
     /// Total dual value raised (a lower bound on the optimum by weak
     /// duality).
     pub fn dual_value(&self) -> f64 {
-        self.dual_value
+        self.duals.dual_value()
     }
 
     /// Core primal-dual step for one client, recording purchases into
@@ -163,29 +161,23 @@ impl<'a> OldPrimalDual<'a> {
         }
 
         // Step 1: raise the dual until some candidate is tight.
-        let candidates = candidates_intersecting(&self.instance.structure, client.window());
+        let structure = &self.instance.structure;
+        self.duals
+            .retire(|c| c.window(structure).end() > client.arrival);
+        let candidates: Vec<(Lease, f64)> = candidates_intersecting(structure, client.window())
+            .into_iter()
+            .map(|c| (c, c.cost(structure)))
+            .collect();
         debug_assert!(!candidates.is_empty());
-        let delta = candidates
-            .iter()
-            .map(|c| {
-                let used = self.contributions.get(c).copied().unwrap_or(0.0);
-                (c.cost(&self.instance.structure) - used).max(0.0)
-            })
-            .fold(f64::INFINITY, f64::min);
-        self.dual_value += delta;
+        let delta = self.duals.raise(&candidates);
         if delta > EPS {
             self.positive_clients.push((client, delta));
         }
-        for c in &candidates {
-            *self.contributions.entry(*c).or_insert(0.0) += delta;
-        }
 
         // Buy all tight candidates covering the arrival day t.
-        let arrival_candidates = candidates_covering(&self.instance.structure, client.arrival);
         let mut bought_types: Vec<usize> = Vec::new();
-        for c in arrival_candidates {
-            let used = self.contributions.get(&c).copied().unwrap_or(0.0);
-            if used >= c.cost(&self.instance.structure) - EPS {
+        for c in candidates_covering(structure, client.arrival) {
+            if self.duals.is_tight(&c, c.cost(structure)) {
                 bought_types.push(c.type_index);
                 self.buy(client.arrival, c, books);
             }

@@ -34,12 +34,12 @@
 //! with `d_max` replaced by the largest *span* `max F − a`; sparser day sets
 //! have fewer candidates per unit span, which experiment E24 sweeps.
 
+use leasing_core::dual::DualAscent;
 use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
 use leasing_core::framework::Triple;
 use leasing_core::interval::{aligned_start, candidates_covering};
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
-use leasing_core::EPS;
 use leasing_lp::{Cmp, IntegerProgram, LinearProgram};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -230,8 +230,7 @@ impl WindowInstance {
 #[derive(Clone, Debug)]
 pub struct WindowPrimalDual<'a> {
     instance: &'a WindowInstance,
-    contributions: BTreeMap<Lease, f64>,
-    dual_value: f64,
+    duals: DualAscent<Lease>,
 }
 
 impl<'a> WindowPrimalDual<'a> {
@@ -239,15 +238,14 @@ impl<'a> WindowPrimalDual<'a> {
     pub fn new(instance: &'a WindowInstance) -> Self {
         WindowPrimalDual {
             instance,
-            contributions: BTreeMap::new(),
-            dual_value: 0.0,
+            duals: DualAscent::new(),
         }
     }
 
     /// Total dual value raised — a lower bound on the optimum by weak
     /// duality, used for solver-free ratio estimates.
     pub fn dual_value(&self) -> f64 {
-        self.dual_value
+        self.duals.dual_value()
     }
 
     /// Core primal-dual step for one window client, recording purchases
@@ -256,21 +254,19 @@ impl<'a> WindowPrimalDual<'a> {
         if client.served_in(books) {
             return;
         }
-        let candidates = self.instance.candidates(client);
+        let structure = &self.instance.structure;
+        self.duals
+            .retire(|c| c.window(structure).end() > client.arrival);
+        let candidates: Vec<(Lease, f64)> = self
+            .instance
+            .candidates(client)
+            .into_iter()
+            .map(|c| (c, c.cost(structure)))
+            .collect();
         debug_assert!(!candidates.is_empty(), "every day has K covering leases");
 
         // Raise the dual until the closest candidate is tight.
-        let delta = candidates
-            .iter()
-            .map(|c| {
-                let used = self.contributions.get(c).copied().unwrap_or(0.0);
-                (c.cost(&self.instance.structure) - used).max(0.0)
-            })
-            .fold(f64::INFINITY, f64::min);
-        self.dual_value += delta;
-        for c in &candidates {
-            *self.contributions.entry(*c).or_insert(0.0) += delta;
-        }
+        self.duals.raise(&candidates);
 
         // Collect the tight candidates; buy those covering f*, the earliest
         // allowed day some tight candidate covers (≤ K purchases — the
@@ -278,11 +274,8 @@ impl<'a> WindowPrimalDual<'a> {
         // mirror each bought type at the last allowed day (Step 2).
         let tight: Vec<Lease> = candidates
             .iter()
-            .copied()
-            .filter(|c| {
-                let used = self.contributions.get(c).copied().unwrap_or(0.0);
-                used >= c.cost(&self.instance.structure) - EPS
-            })
+            .filter(|(c, price)| self.duals.is_tight(c, *price))
+            .map(|&(c, _)| c)
             .collect();
         debug_assert!(
             !tight.is_empty(),

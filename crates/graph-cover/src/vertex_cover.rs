@@ -11,15 +11,14 @@
 //! `O(log(2K) log n)` bound obtained through the Chapter 3 reduction
 //! (`δ = 2`).
 
+use leasing_core::dual::DualAscent;
 use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_covering;
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
-use leasing_core::EPS;
 use leasing_graph::graph::Graph;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Why a [`VcLeasingInstance`] failed validation.
 #[derive(Clone, Debug, PartialEq)]
@@ -134,8 +133,7 @@ impl VcLeasingInstance {
 #[derive(Clone, Debug)]
 pub struct VcPrimalDual<'a> {
     instance: &'a VcLeasingInstance,
-    contributions: BTreeMap<(usize, Lease), f64>,
-    dual_value: f64,
+    duals: DualAscent<(usize, Lease)>,
 }
 
 impl<'a> VcPrimalDual<'a> {
@@ -143,8 +141,7 @@ impl<'a> VcPrimalDual<'a> {
     pub fn new(instance: &'a VcLeasingInstance) -> Self {
         VcPrimalDual {
             instance,
-            contributions: BTreeMap::new(),
-            dual_value: 0.0,
+            duals: DualAscent::new(),
         }
     }
 
@@ -154,29 +151,23 @@ impl<'a> VcPrimalDual<'a> {
         if edge_covered(self.instance, books, e, t) {
             return;
         }
-        let edge = self.instance.graph.edge(e);
-        let candidates: Vec<(usize, Lease)> = [edge.u, edge.v]
+        let instance = self.instance;
+        let structure = &instance.structure;
+        self.duals
+            .retire(|(_, lease)| lease.window(structure).end() > t);
+        let edge = instance.graph.edge(e);
+        let candidates: Vec<((usize, Lease), f64)> = [edge.u, edge.v]
             .into_iter()
             .flat_map(|v| {
-                candidates_covering(&self.instance.structure, t)
+                candidates_covering(structure, t)
                     .into_iter()
-                    .map(move |lease| (v, lease))
+                    .map(move |lease| ((v, lease), instance.lease_cost(v, lease.type_index)))
             })
             .collect();
-        let delta = candidates
-            .iter()
-            .map(|&(v, lease)| {
-                let used = self.contributions.get(&(v, lease)).copied().unwrap_or(0.0);
-                (self.instance.lease_cost(v, lease.type_index) - used).max(0.0)
-            })
-            .fold(f64::INFINITY, f64::min);
-        self.dual_value += delta;
-        for (v, lease) in candidates {
-            let entry = self.contributions.entry((v, lease)).or_insert(0.0);
-            *entry += delta;
-            let price = self.instance.lease_cost(v, lease.type_index);
+        self.duals.raise(&candidates);
+        for ((v, lease), price) in candidates {
             let triple = Triple::new(v, lease.type_index, lease.start);
-            if *entry >= price - EPS && !books.owns(triple) {
+            if self.duals.is_tight(&(v, lease), price) && !books.owns(triple) {
                 books.buy_priced(t, triple, price, CATEGORY_LEASE);
             }
         }
@@ -189,7 +180,7 @@ impl<'a> VcPrimalDual<'a> {
     /// Total dual value raised so far — by weak duality a lower bound on the
     /// interval-model optimum.
     pub fn dual_value(&self) -> f64 {
-        self.dual_value
+        self.duals.dual_value()
     }
 }
 

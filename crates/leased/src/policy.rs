@@ -4,7 +4,9 @@
 //! parking-permit primal-dual (Algorithm 1): an uncovered demand raises
 //! the tenant's dual variable until some aligned candidate lease becomes
 //! tight, and every tight candidate is bought — `O(K)`-competitive per
-//! tenant, hence per shard, since tenants share no constraints.
+//! tenant, hence per shard, since tenants share no constraints. The raise
+//! itself is [`AlignedDuals`], the step `DeterministicPrimalDual` runs, so
+//! this module holds only what the daemon adds around it.
 //!
 //! On top of the paper algorithm the daemon adds **force-release**: an
 //! operator op that voids a tenant's live leases (a zero-cost
@@ -16,15 +18,16 @@
 //! The policy state lives behind an `Rc<RefCell<_>>` core shared with the
 //! owning shard: the engine handle boxes the policy away
 //! (`Box<dyn LeasingAlgorithm>`), and the shard still needs the released
-//! overlay for `list-active` and the accumulators for snapshots. Shards
-//! are single-threaded, so the `Rc` never crosses a thread boundary.
+//! overlay for `list-active` and the accumulators for snapshots, whose
+//! `tenant-permit/v1` encoding stores each tenant's
+//! [`AlignedDuals::slots`]. Shards are single-threaded, so the `Rc` never
+//! crosses a thread boundary.
 
-use leasing_core::engine::Books;
+use leasing_core::dual::AlignedDuals;
+use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::framework::Triple;
-use leasing_core::interval::aligned_start;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
-use leasing_core::{engine::LeasingAlgorithm, EPS};
 use serde::{de, value_field, Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -49,10 +52,9 @@ pub enum TenantOp {
 #[derive(Clone, Debug, PartialEq)]
 pub struct PermitCore {
     structure: LeaseStructure,
-    /// Per-tenant dual accumulators: `(current window start, Σy)` per
-    /// lease type, exactly as in the single-tenant deterministic
-    /// primal-dual (stale windows read as zero).
-    contributions: BTreeMap<usize, Vec<(TimeStep, f64)>>,
+    /// Per-tenant dual accumulators, exactly as in the single-tenant
+    /// deterministic primal-dual.
+    contributions: BTreeMap<usize, AlignedDuals>,
     /// Total dual value raised across tenants (a lower bound on the
     /// interval-model optimum by weak duality).
     dual_value: f64,
@@ -109,30 +111,18 @@ impl PermitCore {
             dual_value,
             released,
         } = self;
-        let slots = contributions
+        let duals = contributions
             .entry(tenant)
-            .or_insert_with(|| vec![(TimeStep::MAX, 0.0); structure.num_types()]);
-        // Slide each type's accumulator to the aligned window containing
-        // `t`, then raise y until the first candidate becomes tight.
-        let mut delta = f64::INFINITY;
-        for (k, slot) in slots.iter_mut().enumerate() {
-            let start = aligned_start(t, structure.length(k));
-            if slot.0 != start {
-                *slot = (start, 0.0);
-            }
-            delta = delta.min((structure.cost(k) - slot.1).max(0.0));
-        }
-        *dual_value += delta;
-        for (k, slot) in slots.iter_mut().enumerate() {
-            slot.1 += delta;
-            if slot.1 >= structure.cost(k) - EPS {
-                let triple = Triple::new(tenant, k, slot.0);
-                // A released window re-buys (and re-pays); an owned live
-                // one does not.
-                let was_released = released.remove(&(tenant, k, slot.0));
-                if was_released || !books.owns(triple) {
-                    books.buy(t, triple);
-                }
+            .or_insert_with(|| AlignedDuals::new(structure.num_types()));
+        let price = |k: usize| structure.cost(k);
+        *dual_value += duals.raise(t, structure, price);
+        for lease in duals.tight(price) {
+            let triple = Triple::new(tenant, lease.type_index, lease.start);
+            // A released window re-buys (and re-pays); an owned live one
+            // does not.
+            let was_released = released.remove(&(tenant, lease.type_index, lease.start));
+            if was_released || !books.owns(triple) {
+                books.buy(t, triple);
             }
         }
         debug_assert!(
@@ -158,7 +148,7 @@ impl PermitCore {
         let contributions: Vec<(u64, Vec<(TimeStep, f64)>)> = self
             .contributions
             .iter()
-            .map(|(&tenant, slots)| (tenant as u64, slots.clone()))
+            .map(|(&tenant, duals)| (tenant as u64, duals.slots().to_vec()))
             .collect();
         let released: Vec<(u64, u64, TimeStep)> = self
             .released
@@ -199,7 +189,7 @@ impl PermitCore {
         };
         let mut contributions = BTreeMap::new();
         for (tenant, slots) in raw_contributions {
-            contributions.insert(index(tenant)?, slots);
+            contributions.insert(index(tenant)?, AlignedDuals::from_slots(slots));
         }
         let mut released = BTreeSet::new();
         for (tenant, k, start) in raw_released {

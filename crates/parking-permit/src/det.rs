@@ -8,12 +8,11 @@
 //! Theorem 2.7.
 
 use crate::{PermitOnline, PERMIT_ELEMENT};
+use leasing_core::dual::AlignedDuals;
 use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
-use leasing_core::interval::aligned_start;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
-use leasing_core::EPS;
 
 /// Deterministic primal-dual parking-permit algorithm over aligned
 /// (interval-model) leases.
@@ -25,14 +24,9 @@ use leasing_core::EPS;
 #[derive(Clone, Debug)]
 pub struct DeterministicPrimalDual {
     structure: LeaseStructure,
-    /// Accumulated dual contribution `Σ y` of the *current* aligned
-    /// window per lease type: `(window start, Σ y)`. The candidates of
-    /// day `t` are exactly the aligned windows containing `t`, and a
-    /// window the clock has left never becomes a candidate again, so only
-    /// `K` live accumulators are ever needed — the per-lease map the
-    /// algorithm used to keep was write-only beyond the current windows.
-    /// Stale entries (start ≠ the current aligned start) read as zero.
-    contributions: Vec<(TimeStep, f64)>,
+    /// The `K` live dual accumulators, one per lease type: the candidates
+    /// of day `t` are exactly the aligned windows containing `t`.
+    duals: AlignedDuals,
     /// Total dual value Σ y raised so far (a lower bound on the interval
     /// model optimum by weak duality — used by tests and experiments).
     dual_value: f64,
@@ -46,11 +40,9 @@ impl DeterministicPrimalDual {
     /// 2.5. Lengths need not be powers of two; alignment alone guarantees
     /// the "exactly `K` candidates per day" property the analysis needs.
     pub fn new(structure: LeaseStructure) -> Self {
-        // Sentinel start: no aligned window starts at `u64::MAX`.
-        let contributions = vec![(TimeStep::MAX, 0.0); structure.num_types()];
         DeterministicPrimalDual {
+            duals: AlignedDuals::new(structure.num_types()),
             structure,
-            contributions,
             dual_value: 0.0,
         }
     }
@@ -73,25 +65,13 @@ impl PermitOnline for DeterministicPrimalDual {
         if books.covered(element, t) {
             return;
         }
-        // Slide each type's accumulator to the aligned window containing
-        // `t` (windows the clock has left reset to zero — they can never
-        // be candidates again), then raise y_t until the first candidate
-        // constraint becomes tight. No allocation, no hashing: K slots.
         let structure = &self.structure;
-        let mut delta = f64::INFINITY;
-        for (k, slot) in self.contributions.iter_mut().enumerate() {
-            let start = aligned_start(t, structure.length(k));
-            if slot.0 != start {
-                *slot = (start, 0.0);
-            }
-            delta = delta.min((structure.cost(k) - slot.1).max(0.0));
-        }
-        self.dual_value += delta;
-        for (k, slot) in self.contributions.iter_mut().enumerate() {
-            slot.1 += delta;
-            let triple = Triple::new(element, k, slot.0);
-            if slot.1 >= structure.cost(k) - EPS && !books.owns(triple) {
-                books.buy_priced(t, triple, structure.cost(k), CATEGORY_LEASE);
+        let price = |k: usize| structure.cost(k);
+        self.dual_value += self.duals.raise(t, structure, price);
+        for lease in self.duals.tight(price) {
+            let triple = Triple::new(element, lease.type_index, lease.start);
+            if !books.owns(triple) {
+                books.buy_priced(t, triple, price(lease.type_index), CATEGORY_LEASE);
             }
         }
         debug_assert!(

@@ -8,12 +8,12 @@
 //! charge current prices, and [`optimal_cost_priced`] is the exact
 //! hierarchical DP under the same price path (the clairvoyant baseline).
 
+use leasing_core::dual::AlignedDuals;
 use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
-use leasing_core::interval::{aligned_start, candidates_covering};
-use leasing_core::lease::{Lease, LeaseStructure};
+use leasing_core::interval::aligned_start;
+use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
-use leasing_core::EPS;
 use parking_permit::PERMIT_ELEMENT;
 use rand::{Rng, RngExt};
 
@@ -85,21 +85,15 @@ impl PricePath {
 pub struct PriceAwarePermit<'a> {
     structure: LeaseStructure,
     prices: &'a PricePath,
-    /// K live dual accumulators — the det-permit K-accumulator trick:
-    /// `contributions[k] = (aligned start, paid)` holds the dual mass
-    /// charged against the type-`k` candidate lease currently in its
-    /// window. Under the monotone arrival order only the candidate
-    /// covering the present demand is ever read, so a slot resets to zero
-    /// when its window slides — K slots instead of one map entry per
-    /// aligned lease ever charged.
-    contributions: Vec<(TimeStep, f64)>,
+    /// The `K` live dual accumulators, charged at day-of-purchase prices.
+    duals: AlignedDuals,
 }
 
 impl<'a> PriceAwarePermit<'a> {
     /// Creates the algorithm under the given price path.
     pub fn new(structure: LeaseStructure, prices: &'a PricePath) -> Self {
         PriceAwarePermit {
-            contributions: vec![(TimeStep::MAX, 0.0); structure.num_types()],
+            duals: AlignedDuals::new(structure.num_types()),
             structure,
             prices,
         }
@@ -115,40 +109,13 @@ impl<'a> LeasingAlgorithm for PriceAwarePermit<'a> {
         if books.covered(PERMIT_ELEMENT, t) {
             return;
         }
-        let candidates = candidates_covering(&self.structure, t);
-        let price = |l: &Lease| self.prices.price(&self.structure, l.type_index, t);
-        // Slide every accumulator whose window moved: a fresh window
-        // starts from zero dual mass, exactly what the lazily-materialised
-        // map used to hand out for a never-charged lease.
-        for c in &candidates {
-            if let Some(slot) = self.contributions.get_mut(c.type_index) {
-                if slot.0 != c.start {
-                    *slot = (c.start, 0.0);
-                }
-            }
-        }
-        let delta = candidates
-            .iter()
-            .map(|c| {
-                let used = self
-                    .contributions
-                    .get(c.type_index)
-                    .map(|slot| slot.1)
-                    .unwrap_or(0.0);
-                (price(c) - used).max(0.0)
-            })
-            .fold(f64::INFINITY, f64::min);
-        for c in candidates {
-            let paid = match self.contributions.get_mut(c.type_index) {
-                Some(slot) => {
-                    slot.1 += delta;
-                    slot.1
-                }
-                None => delta,
-            };
-            let triple = Triple::new(PERMIT_ELEMENT, c.type_index, c.start);
-            if paid >= price(&c) - EPS && !books.owns(triple) {
-                books.buy_priced(t, triple, price(&c), CATEGORY_LEASE);
+        let structure = &self.structure;
+        let price = |k: usize| self.prices.price(structure, k, t);
+        self.duals.raise(t, structure, price);
+        for lease in self.duals.tight(price) {
+            let triple = Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start);
+            if !books.owns(triple) {
+                books.buy_priced(t, triple, price(lease.type_index), CATEGORY_LEASE);
             }
         }
         debug_assert!(books.covered(PERMIT_ELEMENT, t));

@@ -351,11 +351,14 @@ fn generic_deterministic_permit_ledger_and_dual_match_golden() {
 #[test]
 fn generic_old_purchases_and_cost_match_golden() {
     let inst = old_instance();
-    let mut alg = GenericOld::new(&inst);
-    let cost = alg.run();
-    let purchases: Vec<(usize, TimeStep)> = alg
-        .purchases()
+    let mut driver = Driver::new(GenericOld::new(&inst), inst.structure.clone());
+    driver.submit_batch(inst.online_requests()).unwrap();
+    let (cost, alg) = (driver.cost(), driver.algorithm());
+    let purchases: Vec<(usize, TimeStep)> = driver
+        .ledger()
+        .decisions()
         .iter()
+        .filter_map(|d| d.lease)
         .map(|l| (l.type_index, l.start))
         .collect();
     let text = format!(
